@@ -69,7 +69,7 @@ def who_detects_it() -> None:
     # Show exactly where March ABL catches one instance.
     instance = oracle.instances_of(fault)[0]
     print(f"Detection sites of {MARCH_ABL.name} on {instance.name}:")
-    for resolution, site in escape_sites(MARCH_ABL.test, instance, 3):
+    for (_, resolution), site in escape_sites(MARCH_ABL.test, instance, 3):
         tag = "".join("D" if d else "U" for d in resolution) or "-"
         print(f"  ⇕ resolution {tag}: {site}")
     print()

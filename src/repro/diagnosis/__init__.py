@@ -9,7 +9,7 @@ machinery:
 * :mod:`repro.diagnosis.dictionary` -- the **fault dictionary**: for
   every fault placement, the ordered tuple of first detection sites
   over the test's canonical run grid
-  (:func:`repro.sim.coverage.signature_runs`) is its *signature*,
+  (:func:`repro.sim.engine.signature_runs`) is its *signature*,
   computed on either simulation backend (sites are backend-identical)
   and persisted per fault through the content-addressed
   :class:`repro.store.QualificationStore` so warm rebuilds perform

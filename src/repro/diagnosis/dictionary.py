@@ -2,10 +2,11 @@
 
 A **signature** is the diagnostic fingerprint one fault placement
 leaves on one march test: over the test's canonical run grid
-(:func:`repro.sim.coverage.signature_runs` -- one run per ``⇕``
+(:func:`repro.sim.engine.signature_runs` -- one run per ``⇕``
 resolution on the bit path, one per (background x resolution) pair in
-word mode), the ordered tuple of *first detection sites*, each encoded
-as ``(element, operation, cell)`` with ``cell`` the flat address
+word mode -- simulated by :func:`repro.sim.engine.run_grid`), the
+ordered tuple of *first detection sites*, each encoded as
+``(element, operation, cell)`` with ``cell`` the flat address
 (``word * width + lane`` in word mode) and ``None`` for a run the
 placement survives.  Two placements a tester cannot tell apart under
 the march produce the same tuple; everything the diagnosis layer does
@@ -32,22 +33,15 @@ from repro.faults.backgrounds import (
     Background,
     BackgroundsSpec,
     background_str,
-    word_instances,
 )
 from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
-from repro.memory.word import make_word_memory, run_word_march
-from repro.sim.batch import auto_chunk_size, cached_instances, chunked
-from repro.sim.coverage import (
-    TargetFault,
-    fault_name,
-    normalize_word_mode,
-    signature_runs,
-)
+from repro.sim.batch import auto_chunk_size, chunked, grid_instances
+from repro.sim.coverage import TargetFault, fault_name, normalize_word_mode
 from repro.sim.chaos import ChaosSpec, parse_chaos
-from repro.sim.engine import run_march
+from repro.sim.engine import run_grid, signature_runs
 from repro.sim.placements import DEFAULT_MEMORY_SIZE
-from repro.sim.backends import backend_names, make_memory
+from repro.sim.backends import backend_names
 from repro.sim.supervisor import (
     FailureReport,
     SupervisedTask,
@@ -137,32 +131,15 @@ def fault_signatures(
     (``None`` = bit path).
     """
     runs = signature_runs(test, backgrounds, exhaustive_limit)
-    if backgrounds is None:
-        instances = cached_instances(fault, memory_size, lf3_layout)
-    else:
-        instances = word_instances(
-            fault, memory_size, width, lf3_layout)
-    signatures: List[Signature] = []
-    for instance in instances:
-        sites: List[Site] = []
-        for background, resolution in runs:
-            if background is None:
-                memory = make_memory(memory_size, instance, backend)
-                site = run_march(test, memory, resolution)
-                sites.append(
-                    None if site is None
-                    else (site.element, site.operation, site.address))
-            else:
-                memory = make_word_memory(
-                    memory_size, width, instance, backend)
-                site = run_word_march(
-                    test, memory, background, resolution)
-                sites.append(
-                    None if site is None
-                    else (site.element, site.operation,
-                          site.cell(width)))
-        signatures.append(tuple(sites))
-    return signatures
+    return [
+        tuple(
+            None if site is None
+            else (site.element, site.operation, site.cell(width))
+            for site, _ in run_grid(
+                test, instance, memory_size, runs, backend, width))
+        for instance in grid_instances(
+            fault, memory_size, lf3_layout, width, backgrounds)
+    ]
 
 
 def _signature_chunk(
@@ -530,8 +507,8 @@ def _build_dictionaries(
                     pending.append(
                         (position, index, keys[position][index]))
                     continue
-                instances = _instances(
-                    fault, memory_size, width, resolved, lf3_layout)
+                instances = grid_instances(
+                    fault, memory_size, lf3_layout, width, resolved)
                 per_geometry[position][index] = decode_signatures(
                     payload, len(instances), run_counts[position])
                 hits[position] += 1
@@ -566,8 +543,8 @@ def _build_dictionaries(
         memory_size, width, resolved, lf3_layout = geometry
         entries: List[DictionaryEntry] = []
         for index, fault in enumerate(faults):
-            instances = _instances(
-                fault, memory_size, width, resolved, lf3_layout)
+            instances = grid_instances(
+                fault, memory_size, lf3_layout, width, resolved)
             for instance_index, (instance, signature) in enumerate(
                     zip(instances, per_geometry[position][index])):
                 entries.append(DictionaryEntry(
@@ -582,18 +559,6 @@ def _build_dictionaries(
             failure_report=failure_report,
         ))
     return dictionaries
-
-
-def _instances(
-    fault: TargetFault,
-    memory_size: int,
-    width: int,
-    backgrounds: Optional[Tuple[Background, ...]],
-    lf3_layout: str,
-):
-    if backgrounds is None:
-        return cached_instances(fault, memory_size, lf3_layout)
-    return word_instances(fault, memory_size, width, lf3_layout)
 
 
 def _build_supervised(

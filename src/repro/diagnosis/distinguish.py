@@ -60,13 +60,8 @@ from repro.faults.operations import write
 from repro.faults.values import Bit, flip
 from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
-from repro.memory.word import (
-    make_word_memory,
-    run_word_element,
-    run_word_march,
-)
-from repro.sim.engine import run_element, run_march
-from repro.sim.backends import make_memory
+from repro.memory.word import run_word_element
+from repro.sim.engine import run_element, run_grid
 
 
 @dataclass
@@ -212,6 +207,8 @@ class DistinguishingGenerator(MarchGenerator):
             ]
         self.focus = (
             None if focus is None else frozenset(tuple(c) for c in focus))
+        #: The last base-march replay memory of every placement with an
+        #: escaping run (see :meth:`_init_members`); probes reload it.
         self._memories: Dict[int, object] = {}
         self._all_members: List[List[_Member]] = []
 
@@ -349,29 +346,27 @@ class DistinguishingGenerator(MarchGenerator):
     ) -> List[List[_Member]]:
         """Snapshot every ambiguous placement after the base march.
 
-        For each member and each run its class escapes, the base march
-        is replayed once on a fresh memory; the resulting packed state
-        is the point every candidate suffix resumes from (the
-        :class:`~repro.sim.coverage.IncrementalCoverage` trick applied
-        per run instead of per resolution prefix).
+        Each member replays the base march over the runs its signature
+        escapes (:func:`~repro.sim.engine.run_grid`); the packed states
+        are the points every candidate suffix resumes from, reloaded
+        into the member's last replayed (pooled) memory -- the
+        :class:`~repro.sim.coverage.IncrementalCoverage` trick per run.
         """
         runs = self.dictionary.runs
         member_classes: List[List[_Member]] = []
         for entries in classes:
             members: List[_Member] = []
             for entry in entries:
+                escaping = [
+                    index for index, site in enumerate(entry.signature)
+                    if site is None]
+                replays = run_grid(
+                    self.base, entry.instance, self.memory_size,
+                    [runs[index] for index in escaping],
+                    self.backend, self.width)
                 live: Dict[int, Tuple[int, object]] = {}
-                for run_index, site in enumerate(entry.signature):
-                    if site is not None:
-                        continue
-                    background, resolution = runs[run_index]
-                    memory = self._fresh_memory(entry.instance)
-                    if background is None:
-                        result = run_march(self.base, memory, resolution)
-                    else:
-                        result = run_word_march(
-                            self.base, memory, background, resolution)
-                    if result is not None:  # pragma: no cover
+                for run_index, (site, memory) in zip(escaping, replays):
+                    if site is not None:  # pragma: no cover
                         raise AssertionError(
                             "dictionary says the run escapes but the "
                             "replay detected -- signature and "
@@ -379,27 +374,11 @@ class DistinguishingGenerator(MarchGenerator):
                     live[run_index] = (
                         memory.packed_state(),
                         memory.previous_operation)
+                    self._memories[id(entry.instance)] = memory
                 members.append(_Member(entry, live))
             member_classes.append(members)
         self._all_members = [list(ms) for ms in member_classes]
         return member_classes
-
-    def _fresh_memory(self, instance):
-        """A new memory bound to *instance* (also pooled for reuse)."""
-        if self.backgrounds is not None:
-            memory = make_word_memory(
-                self.memory_size, self.width, instance, self.backend)
-        else:
-            memory = make_memory(
-                self.memory_size, instance, self.backend)
-        self._memories[id(instance)] = memory
-        return memory
-
-    def _memory_for(self, instance):
-        memory = self._memories.get(id(instance))
-        if memory is None:
-            memory = self._fresh_memory(instance)
-        return memory
 
     def _advance(
         self,
@@ -422,26 +401,21 @@ class DistinguishingGenerator(MarchGenerator):
         source = member.live if live is None else live
         detected: Dict[int, Site] = {}
         survivors: Dict[int, Tuple[int, object]] = {}
+        # None only for a member without escaping runs: nothing to run.
+        memory = self._memories.get(id(member.entry.instance))
         for run_index, (snapshot, previous) in source.items():
             background, _resolution = runs[run_index]
-            memory = self._memory_for(member.entry.instance)
             memory.load_packed(snapshot)
             memory.previous_operation = previous
             if background is None:
                 site = run_element(
                     element, abs_index, memory, descending)
-                encoded = (
-                    None if site is None
-                    else (site.element, site.operation, site.address))
             else:
                 site = run_word_element(
                     element, abs_index, memory, descending, background)
-                encoded = (
-                    None if site is None
-                    else (site.element, site.operation,
-                          site.cell(self.width)))
-            if encoded is not None:
-                detected[run_index] = encoded
+            if site is not None:
+                detected[run_index] = (
+                    site.element, site.operation, site.cell(self.width))
             else:
                 survivors[run_index] = (
                     memory.packed_state(), memory.previous_operation)

@@ -22,7 +22,6 @@ from repro.memory.word import (
     SparseWordMemory,
     WordDetectionSite,
     WordMemory,
-    make_word_memory,
     run_word_march,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "SparseWordMemory",
     "WordDetectionSite",
     "WordMemory",
-    "make_word_memory",
     "run_word_march",
 ]

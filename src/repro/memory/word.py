@@ -335,25 +335,6 @@ def run_word_march(
     return None
 
 
-def make_word_memory(
-    words: int,
-    width: int,
-    fault: Optional[FaultInstance] = None,
-    backend: str = "auto",
-) -> WordMemory:
-    """Construct the word simulation memory for *fault* under *backend*.
-
-    A convenience wrapper over the registry's unified seam,
-    :func:`repro.sim.backends.make_memory` -- ``"auto"`` resolution
-    consults the registered backends' capability predicates against the
-    fault semantics and the *word count* (all backends are
-    report-identical at every geometry).
-    """
-    from repro.sim.backends import make_memory
-
-    return make_memory(words, fault, backend, width=width)
-
-
 def word_blank_snapshot(
     instance: Optional[FaultInstance],
     words: int,
@@ -376,71 +357,6 @@ def word_blank_snapshot(
             instance.cells if instance is not None else (), width))
         return pack_word((DONT_CARE,) * (stored + width))
     return pack_word((DONT_CARE,) * (words * width))
-
-
-def word_detects_instance(
-    test: MarchTest,
-    fault: FaultInstance,
-    words: int,
-    width: int,
-    backgrounds: Sequence[Background],
-    exhaustive_limit: int = 6,
-    backend: str = "auto",
-) -> bool:
-    """Does the per-background word campaign of *test* detect *fault*?
-
-    Each background runs the march from scratch with its own ``⇕``
-    resolutions, so the fault is caught exactly when **some**
-    background detects it under **every** resolution of its run -- the
-    aggregation the coverage oracles implement incrementally.
-    """
-    from repro.sim.batch import cached_order_resolutions
-
-    any_count = sum(
-        1 for el in test.elements if el.order is AddressOrder.ANY)
-    resolutions = cached_order_resolutions(any_count, exhaustive_limit)
-    for background in backgrounds:
-        caught = True
-        for resolution in resolutions:
-            memory = make_word_memory(words, width, fault, backend)
-            if run_word_march(
-                    test, memory, background, resolution) is None:
-                caught = False
-                break
-        if caught:
-            return True
-    return False
-
-
-def word_escape_sites(
-    test: MarchTest,
-    fault: FaultInstance,
-    words: int,
-    width: int,
-    backgrounds: Sequence[Background],
-    exhaustive_limit: int = 6,
-    backend: str = "auto",
-) -> List[Tuple[Background, Tuple[bool, ...],
-                Optional[WordDetectionSite]]]:
-    """Diagnostic sibling of :func:`word_detects_instance`.
-
-    Returns, for every (background, resolution) run, the detection site
-    or ``None`` on escape -- what the differential suite compares
-    byte-for-byte across backends.
-    """
-    from repro.sim.batch import cached_order_resolutions
-
-    any_count = sum(
-        1 for el in test.elements if el.order is AddressOrder.ANY)
-    outcomes = []
-    for background in backgrounds:
-        for resolution in cached_order_resolutions(
-                any_count, exhaustive_limit):
-            memory = make_word_memory(words, width, fault, backend)
-            outcomes.append((
-                background, resolution,
-                run_word_march(test, memory, background, resolution)))
-    return outcomes
 
 
 # ----------------------------------------------------------------------

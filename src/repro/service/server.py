@@ -57,7 +57,9 @@ class TokenBucket:
     """Per-client token buckets: *rate* tokens/second, *burst* deep.
 
     A request spends one token; tokens refill continuously.  Clients
-    are independent -- one hot client cannot starve the others.
+    are independent -- one hot client cannot starve the others.  A
+    bucket refilled to *burst* acts exactly like an absent one, so a
+    sweep at most once per ``burst / rate`` seconds drops those.
     """
 
     def __init__(self, rate: float, burst: int):
@@ -69,10 +71,19 @@ class TokenBucket:
         self.burst = float(burst)
         self._buckets: Dict[str, Tuple[float, float]] = {}
         self._lock = threading.Lock()
+        self._swept_at = time.monotonic()
 
     def allow(self, client: str) -> bool:
         now = time.monotonic()
         with self._lock:
+            # With rate 0 nothing refills, so nothing is ever dropped.
+            if self.rate and \
+                    now - self._swept_at >= self.burst / self.rate:
+                self._buckets = {
+                    other: (tokens, last)
+                    for other, (tokens, last) in self._buckets.items()
+                    if tokens + (now - last) * self.rate < self.burst}
+                self._swept_at = now
             tokens, last = self._buckets.get(
                 client, (self.burst, now))
             tokens = min(
@@ -397,6 +408,11 @@ class QualificationService:
                 record.error = f"{type(error).__name__}: {error}"
                 record.status = "failed"
                 self._metrics["jobs_failed"] += 1
+                # Free the key so a resubmission retries instead of
+                # coalescing onto the failure; the retry (same id)
+                # replaces the record in _by_id.
+                if self._by_key.get(record.key) is record:
+                    del self._by_key[record.key]
         else:
             with self._ready:
                 record.result = outcome

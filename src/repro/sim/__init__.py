@@ -35,6 +35,7 @@ from repro.sim.backends import (
 from repro.sim.sparse import SparseMemory
 from repro.sim.engine import (
     DetectionSite,
+    run_grid,
     run_march,
     detects_instance,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "resolve_backend",
     "SparseMemory",
     "DetectionSite",
+    "run_grid",
     "run_march",
     "detects_instance",
     "CoverageOracle",

@@ -23,8 +23,9 @@ module, never the other way around.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple, TypeVar, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
+from repro.faults.backgrounds import Background, word_instances
 from repro.faults.linked import LinkedFault
 from repro.faults.primitives import FaultPrimitive
 from repro.memory.injection import FaultInstance
@@ -94,6 +95,25 @@ def cached_instances(
     return bind_placements(
         fault,
         cached_role_placements(fault.cells, memory_size, lf3_layout))
+
+
+def grid_instances(
+    fault: _Target,
+    memory_size: int,
+    lf3_layout: str = "straddle",
+    width: int = 1,
+    backgrounds: Optional[Tuple[Background, ...]] = None,
+) -> Tuple[FaultInstance, ...]:
+    """The canonical placements of *fault* for one geometry, memoized.
+
+    The one bit/word placement choice: :func:`cached_instances` on the
+    bit path (*backgrounds* ``None``), otherwise
+    :func:`repro.faults.backgrounds.word_instances` over *memory_size*
+    words of *width* bits.
+    """
+    if backgrounds is None:
+        return cached_instances(fault, memory_size, lf3_layout)
+    return word_instances(fault, memory_size, width, lf3_layout)
 
 
 @lru_cache(maxsize=None)

@@ -17,12 +17,13 @@ run:
   port;
 * :func:`verify_program` -- the equivalence oracle: for one test ×
   fault list × geometry it checks, over the *canonical run grid*
-  (:func:`repro.sim.coverage.signature_runs`),
+  (:func:`repro.sim.engine.signature_runs`),
 
   1. the **operation grid**: the interpreter's recorded trace equals
      the engine's, operation for operation, on a golden memory;
   2. **detection sites**: for every fault × placement × run, the
-     interpreted program detects at exactly the engine's site;
+     interpreted program detects at exactly the engine's site
+     (:func:`repro.sim.engine.run_grid`);
   3. **report bytes**: the canonical verification report built from
      interpreted sites is byte-identical to the one built from direct
      sites (and backend-independent, like every report in this
@@ -41,17 +42,15 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.faults.backgrounds import (
-    Background,
-    background_str,
-    word_instances,
-)
+from repro.faults.backgrounds import Background, background_str
 from repro.faults.operations import read as _read, wait as _wait, \
     write as _write
 from repro.march.element import AddressOrder, MarchElement
 from repro.memory.sram import FaultyMemory
 from repro.memory.word import WordDetectionSite, WordMemory, run_word_march
-from repro.sim.engine import DetectionSite, run_march
+from repro.sim.backends import make_memory, resolve_backend
+from repro.sim.batch import grid_instances
+from repro.sim.engine import DetectionSite, run_grid, run_march, signature_runs
 
 #: The verification report's ``format`` tag.
 VERIFY_FORMAT = "repro-bist-verify"
@@ -296,10 +295,7 @@ def _site_token(site, width: int) -> str:
     """
     if site is None:
         return "-"
-    if isinstance(site, WordDetectionSite):
-        return (f"e{site.element}o{site.operation}"
-                f"c{site.cell(width)}")
-    return f"e{site.element}o{site.operation}c{site.address}"
+    return f"e{site.element}o{site.operation}c{site.cell(width)}"
 
 
 def _run_label(
@@ -419,18 +415,14 @@ def verify_program(
     Returns:
         A :class:`BistVerification`; ``.equivalent`` is the gate.
     """
-    # Imported lazily: backends/coverage build on the engine modules.
-    from repro.sim.backends import make_memory, resolve_backend
-    from repro.sim.coverage import make_instances, signature_runs
-
     width = program.width
     word_mode = program.backgrounds is not None
     grid = signature_runs(
         test, program.backgrounds, exhaustive_limit)
     interpreter = BistInterpreter(program)
+    memory_width = width if word_mode else None
     resolved_backend = resolve_backend(
-        backend, faults, memory_size,
-        width if word_mode else None)
+        backend, faults, memory_size, memory_width)
 
     verification = BistVerification(
         test_name=test.name,
@@ -490,35 +482,19 @@ def verify_program(
         _run_label(background, resolution)
         for background, resolution in grid]
     for fault in faults:
-        if word_mode:
-            instances = word_instances(
-                fault, memory_size, width, lf3_layout)
-        else:
-            instances = make_instances(
-                fault, memory_size, lf3_layout)
-        for instance in instances:
+        for instance in grid_instances(
+                fault, memory_size, lf3_layout, width,
+                program.backgrounds):
             verification.instances += 1
             direct_sites = []
             played_sites = []
-            for label, (background, resolution) in zip(
-                    grid_labels, grid):
-                if word_mode:
-                    memory = make_memory(
-                        memory_size, instance, backend, width=width)
-                    direct_site = run_word_march(
-                        test, memory, background, resolution)
-                    memory = make_memory(
-                        memory_size, instance, backend, width=width)
-                    played_site = interpreter.run_word(
-                        memory, background, resolution)
-                else:
-                    memory = make_memory(
-                        memory_size, instance, backend)
-                    direct_site = run_march(test, memory, resolution)
-                    memory = make_memory(
-                        memory_size, instance, backend)
-                    played_site = interpreter.run_bit(
-                        memory, resolution)
+            direct = run_grid(
+                test, instance, memory_size, grid, backend, width)
+            for label, run, (direct_site, _) in zip(
+                    grid_labels, grid, direct):
+                memory = make_memory(
+                    memory_size, instance, backend, width=memory_width)
+                played_site = interpreter.run(memory, *run)
                 verification.simulated_runs += 2
                 direct_token = _site_token(direct_site, width)
                 played_token = _site_token(played_site, width)

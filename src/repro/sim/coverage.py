@@ -24,7 +24,6 @@ from repro.faults.backgrounds import (
     BackgroundsSpec,
     background_str,
     resolve_backgrounds,
-    word_instances,
 )
 from repro.faults.linked import LinkedFault
 from repro.faults.primitives import FaultPrimitive
@@ -37,11 +36,11 @@ from repro.memory.word import (
     WORD_CACHES as _ENGINE_WORD_CACHES,
     run_word_element,
     word_blank_snapshot,
-    word_detects_instance,
 )
 from repro.sim.backends import get_backend, resolve_backend
-from repro.sim.batch import cached_instances, register_cache
+from repro.sim.batch import grid_instances, register_cache
 from repro.sim.engine import detects_instance, run_element
+from repro.sim.engine import signature_runs  # noqa: F401 -- re-export
 from repro.sim.placements import DEFAULT_MEMORY_SIZE
 from repro.sim.sparse import blank_snapshot
 from repro.store import (
@@ -88,35 +87,6 @@ def fault_name(fault: TargetFault) -> str:
     return fault.name
 
 
-def signature_runs(
-    test: MarchTest,
-    backgrounds: Optional[Tuple[Background, ...]] = None,
-    exhaustive_limit: int = 6,
-) -> List[Tuple[Optional[Background], Tuple[bool, ...]]]:
-    """The ordered ``(background, resolution)`` run grid of one test.
-
-    This is the run enumeration every qualification quantifies over --
-    the bit path runs once per ``⇕`` resolution, the word path once
-    per (background x resolution) pair, backgrounds outermost -- made
-    public so the diagnosis layer (:mod:`repro.diagnosis`) indexes
-    detection *signatures* by exactly the runs the oracles simulate.
-    ``background`` is ``None`` on the bit path.  The order is stable:
-    it defines the canonical run indexing of every signature.
-    """
-    from repro.sim.batch import cached_order_resolutions
-
-    any_count = sum(
-        1 for el in test.elements if el.order is AddressOrder.ANY)
-    resolutions = cached_order_resolutions(any_count, exhaustive_limit)
-    if backgrounds is None:
-        return [(None, resolution) for resolution in resolutions]
-    return [
-        (background, resolution)
-        for background in backgrounds
-        for resolution in resolutions
-    ]
-
-
 def fault_cells(fault: TargetFault) -> int:
     """Number of distinct cell roles of a coverage target."""
     return fault.cells
@@ -130,10 +100,10 @@ def make_instances(
     Placement tuples order roles with the victim last (matching
     :attr:`LinkedFault.role_labels`); for simple two-cell primitives the
     tuple is ``(aggressor, victim)``.  The binding itself is memoized
-    (:func:`repro.sim.batch.cached_instances`); callers get a fresh
-    list over the shared frozen instances.
+    (:func:`repro.sim.batch.grid_instances`, bit path); callers get a
+    fresh list over the shared frozen instances.
     """
-    return list(cached_instances(fault, memory_size, lf3_layout))
+    return list(grid_instances(fault, memory_size, lf3_layout))
 
 
 @dataclass
@@ -299,17 +269,12 @@ class CoverageOracle:
         self._fault_list_key = (
             fault_list_id(self.faults) if self.store is not None
             else None)
-        if self.backgrounds is None:
-            self._instances: Dict[str, List[FaultInstance]] = {
-                fault_name(f): make_instances(f, memory_size, lf3_layout)
-                for f in self.faults
-            }
-        else:
-            self._instances = {
-                fault_name(f): list(word_instances(
-                    f, memory_size, self.width, lf3_layout))
-                for f in self.faults
-            }
+        self._instances: Dict[str, List[FaultInstance]] = {
+            fault_name(f): list(grid_instances(
+                f, memory_size, lf3_layout, self.width,
+                self.backgrounds))
+            for f in self.faults
+        }
         self.backend = resolve_backend(
             backend, self.faults, memory_size,
             None if self.backgrounds is None else self.width,
@@ -324,18 +289,10 @@ class CoverageOracle:
 
     def detects(self, test: MarchTest, fault: TargetFault) -> bool:
         """Does *test* detect every placement of *fault*?"""
-        if self.backgrounds is not None:
-            return all(
-                word_detects_instance(
-                    test, instance, self.memory_size, self.width,
-                    self.backgrounds, self.exhaustive_limit,
-                    self.backend)
-                for instance in self._instances[fault_name(fault)]
-            )
         return all(
             detects_instance(
                 test, instance, self.memory_size, self.exhaustive_limit,
-                self.backend)
+                self.backend, self.width, self.backgrounds)
             for instance in self._instances[fault_name(fault)]
         )
 
@@ -528,17 +485,13 @@ class IncrementalCoverage:
         # Placements are enumerated before backend resolution so
         # "auto" sees how many simulation contexts the workload seeds
         # -- the hint that decides whether a batched (lane-packed)
-        # kernel amortizes its packing overhead.  Both enumerations
-        # are memoized, so the seeding loops below pay nothing extra.
-        if self.backgrounds is None:
-            instance_lists = [
-                cached_instances(fault, memory_size, lf3_layout)
-                for fault in self.faults]
-        else:
-            instance_lists = [
-                word_instances(
-                    fault, memory_size, self.width, lf3_layout)
-                for fault in self.faults]
+        # kernel amortizes its packing overhead.  The enumeration is
+        # memoized, so the seeding loops below pay nothing extra.
+        instance_lists = [
+            grid_instances(
+                fault, memory_size, lf3_layout, self.width,
+                self.backgrounds)
+            for fault in self.faults]
         self.backend = resolve_backend(
             backend, self.faults, memory_size,
             None if self.backgrounds is None else self.width,

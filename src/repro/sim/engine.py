@@ -3,21 +3,30 @@
 :func:`run_march` walks a march test over a :class:`FaultyMemory`
 instance, honouring address orders, and reports the first detecting
 read (detection is monotone: once a read mismatches, the device has
-failed the test).  :func:`detects_instance` quantifies over the up/down
-resolutions of ``⇕`` elements; full fault-class qualification (over
-placements too) lives in :mod:`repro.sim.coverage`.
+failed the test).  :func:`run_grid` runs one placement over the
+canonical ``(background, resolution)`` run grid
+(:func:`signature_runs`), each run on a fresh memory; the
+per-placement questions (:func:`detects_instance`,
+:func:`escape_sites`), dictionary signatures and BIST verification are
+all built on it.  Full fault-class qualification (over placements too)
+lives in :mod:`repro.sim.coverage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.faults.backgrounds import Background
 from repro.faults.values import Bit, CellState
 from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import FaultyMemory
+from repro.memory.word import WordDetectionSite, run_word_march
+from repro.sim.backends import get_backend, resolve_backend
 from repro.sim.batch import cached_order_resolutions
 
 
@@ -38,6 +47,10 @@ class DetectionSite:
     operation: int
     expected: Bit
     observed: CellState
+
+    def cell(self, width: int) -> int:
+        """The flat cell address (twin of ``WordDetectionSite.cell``)."""
+        return self.address
 
     def __str__(self) -> str:
         return (
@@ -121,14 +134,88 @@ def run_element(
     return None
 
 
+#: One run of the canonical grid: ``(background, resolution)``, with
+#: ``background`` ``None`` on the bit path.
+Run = Tuple[Optional[Background], Tuple[bool, ...]]
+
+#: A run's first detection site (bit or word), ``None`` on escape.
+GridSite = Union[DetectionSite, WordDetectionSite, None]
+
+
+def signature_runs(
+    test: MarchTest,
+    backgrounds: Optional[Tuple[Background, ...]] = None,
+    exhaustive_limit: int = 6,
+) -> List[Run]:
+    """The ordered ``(background, resolution)`` run grid of one test.
+
+    This is the run enumeration every qualification quantifies over --
+    the bit path runs once per ``⇕`` resolution, the word path once
+    per (background x resolution) pair, backgrounds outermost -- made
+    public so the diagnosis layer (:mod:`repro.diagnosis`) indexes
+    detection *signatures* by exactly the runs the oracles simulate.
+    ``background`` is ``None`` on the bit path.  The order is stable:
+    it defines the canonical run indexing of every signature.
+    """
+    any_count = sum(
+        1 for el in test.elements if el.order is AddressOrder.ANY)
+    resolutions = cached_order_resolutions(any_count, exhaustive_limit)
+    return [
+        (background, resolution)
+        for background in ((None,) if backgrounds is None else backgrounds)
+        for resolution in resolutions
+    ]
+
+
+def run_grid(
+    test: MarchTest,
+    instance: FaultInstance,
+    memory_size: int,
+    runs: Sequence[Run],
+    backend: str = "auto",
+    width: int = 1,
+) -> Iterator[Tuple[GridSite, object]]:
+    """Run *test* once per grid run, each on a fresh memory.
+
+    Lazily yields ``(first detection site or None, memory)`` per run,
+    in order -- the one loop behind per-placement detection,
+    dictionary signatures, distinguishing snapshots and BIST
+    verification.  Bit runs (background ``None``) walk *memory_size*
+    cells, word runs *memory_size* words of *width* bits; a grid is
+    one or the other (:func:`signature_runs`).  The backend resolves
+    once per call: it depends on the instance and geometry only.
+    """
+    if not runs:
+        return
+    word_width = None if runs[0][0] is None else width
+    make = get_backend(resolve_backend(
+        backend, (instance,), memory_size, word_width)).make_memory
+    for background, resolution in runs:
+        memory = make(memory_size, instance, word_width)
+        if word_width is None:
+            site = run_march(test, memory, resolution)
+        else:
+            site = run_word_march(test, memory, background, resolution)
+        yield site, memory
+
+
 def detects_instance(
     test: MarchTest,
     fault: FaultInstance,
     memory_size: int,
     exhaustive_limit: int = 6,
     backend: str = "auto",
+    width: int = 1,
+    backgrounds: Optional[Tuple[Background, ...]] = None,
 ) -> bool:
     """Does *test* detect *fault* under every ``⇕`` resolution?
+
+    In word mode (*backgrounds* a resolved tuple, *memory_size* words
+    of *width* bits) each background runs the march from scratch, so
+    the fault is caught exactly when **some** background detects it
+    under **every** resolution -- the aggregation the coverage oracles
+    implement incrementally.  Lazy: a background stops at its first
+    escaping run.
 
     Args:
         test: the march test.
@@ -139,16 +226,11 @@ def detects_instance(
         backend: simulation backend selector (see
             :func:`repro.sim.backends.backend_names`).
     """
-    # Imported lazily: the backend registry builds on this module.
-    from repro.sim.backends import make_memory
-
-    any_count = sum(
-        1 for el in test.elements if el.order is AddressOrder.ANY)
-    for resolution in cached_order_resolutions(any_count, exhaustive_limit):
-        memory = make_memory(memory_size, fault, backend)
-        if run_march(test, memory, resolution) is None:
-            return False
-    return True
+    runs = signature_runs(test, backgrounds, exhaustive_limit)
+    return any(
+        all(site is not None for site, _ in run_grid(
+            test, fault, memory_size, list(group), backend, width))
+        for _, group in groupby(runs, key=itemgetter(0)))
 
 
 def escape_sites(
@@ -157,19 +239,17 @@ def escape_sites(
     memory_size: int,
     exhaustive_limit: int = 6,
     backend: str = "auto",
-) -> List[Tuple[Tuple[bool, ...], Optional[DetectionSite]]]:
+    width: int = 1,
+    backgrounds: Optional[Tuple[Background, ...]] = None,
+) -> List[Tuple[Run, GridSite]]:
     """Diagnostic variant of :func:`detects_instance`.
 
-    Returns, for every resolution, the detection site (or ``None`` on
-    escape) -- used by examples and failure analyses to show *where*
-    masking defeated a test.
+    Returns ``(run, site)`` for every ``(background, resolution)`` run,
+    with ``None`` on escape -- used by examples, failure analyses and
+    the differential suites to show *where* masking defeated a test.
     """
-    from repro.sim.backends import make_memory
-
-    any_count = sum(
-        1 for el in test.elements if el.order is AddressOrder.ANY)
-    outcomes = []
-    for resolution in cached_order_resolutions(any_count, exhaustive_limit):
-        memory = make_memory(memory_size, fault, backend)
-        outcomes.append((resolution, run_march(test, memory, resolution)))
-    return outcomes
+    runs = signature_runs(test, backgrounds, exhaustive_limit)
+    return [
+        (run, site) for run, (site, _) in zip(
+            runs, run_grid(test, fault, memory_size, runs, backend, width))
+    ]

@@ -45,6 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.chaos import ChaosSpec, apply_chaos
 
+#: How long a shut-down pool's manager thread gets to reap its workers
+#: before the supervisor moves on without it.
+_REAP_SECONDS = 5.0
+
 
 class CampaignExecutionError(RuntimeError):
     """A work unit failed beyond every retry and degradation rung.
@@ -262,22 +266,41 @@ class Supervisor:
     # Pool lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
+        # The live pool: respawns replace it, and run() retires (or
+        # kills) whichever pool is live when the loop ends.
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
         """Tear a (possibly hung or broken) pool down, hard.
 
         ``shutdown`` alone never reclaims a hung worker -- the
-        processes are killed first, then the executor is discarded
-        with its queued futures cancelled.
+        processes are killed first, then the pool is retired with its
+        queued futures cancelled.
         """
         processes = list(getattr(pool, "_processes", None) or {})
         for pid in processes:
             process = pool._processes.get(pid)
             if process is not None:
                 process.kill()
-        pool.shutdown(wait=False, cancel_futures=True)
+        Supervisor._retire_pool(pool, cancel_futures=True)
+
+    @staticmethod
+    def _retire_pool(
+        pool: ProcessPoolExecutor, cancel_futures: bool = False,
+    ) -> None:
+        """Shut *pool* down and wait (bounded) for its manager thread.
+
+        The next pool is forked from this process, and forking while
+        an old pool's manager and queue-feeder threads still run is
+        the fork-with-threads hazard that can deadlock the child.  The
+        manager thread joins the feeder and the workers, then exits.
+        """
+        manager = pool._executor_manager_thread
+        pool.shutdown(wait=False, cancel_futures=cancel_futures)
+        if manager is not None:
+            manager.join(_REAP_SECONDS)
 
     # ------------------------------------------------------------------
     # Execution
@@ -311,9 +334,9 @@ class Supervisor:
                 pool, tasks, results, degraded, use_fallback,
                 consecutive, on_complete)
         except BaseException:
-            self._kill_pool(pool)
+            self._kill_pool(self._pool)
             raise
-        pool.shutdown(wait=False)
+        self._retire_pool(self._pool)
         self._run_degraded(
             tasks, results, degraded, use_fallback, on_complete)
         return [results[position] for position in range(len(tasks))]
@@ -327,8 +350,7 @@ class Supervisor:
         Mutates *results*/*degraded*/*use_fallback* in place and
         returns once every task is either resolved or queued for
         in-process degradation.  *pool* may be replaced mid-loop
-        (respawn); the caller's reference is kept current through the
-        returned value of :meth:`_respawn`.
+        (respawn); :meth:`_spawn` keeps the live one for :meth:`run`.
         """
         # future -> [position, attempt, deadline]; the deadline slot
         # is mutable (queued chunks get their clock restarted).

@@ -5,9 +5,8 @@ qualification would have produced -- including the escape witnesses.
 Witness :class:`~repro.memory.injection.FaultInstance` objects are not
 serialized structurally; instead each witness is stored as its *index*
 into the deterministic placement enumeration for its fault
-(:func:`repro.sim.batch.cached_instances` on the bit path,
-:func:`repro.faults.backgrounds.word_instances` in word mode).  Both
-enumerations are pure functions of ``(fault, memory size, width, LF3
+(:func:`repro.sim.batch.grid_instances`, bit or word mode).  The
+enumeration is a pure function of ``(fault, memory size, width, LF3
 layout)``, so decoding re-binds the placements (memoized, cheap) and
 recovers the *same* frozen instance object a fresh run would have
 picked -- downstream consumers (report JSON, escape-site analysis)
@@ -18,17 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.faults.backgrounds import Background, word_instances
-from repro.sim.batch import cached_instances
-
-
-def _instances_for(
-    fault, memory_size: int, width: int,
-    backgrounds: Optional[Tuple[Background, ...]], lf3_layout: str,
-):
-    if backgrounds is not None:
-        return word_instances(fault, memory_size, width, lf3_layout)
-    return cached_instances(fault, memory_size, lf3_layout)
+from repro.faults.backgrounds import Background
+from repro.sim.batch import grid_instances
 
 
 def encode_outcomes(
@@ -51,8 +41,8 @@ def encode_outcomes(
         if detected:
             encoded.append([1])
             continue
-        instances = _instances_for(
-            fault, memory_size, width, backgrounds, lf3_layout)
+        instances = grid_instances(
+            fault, memory_size, lf3_layout, width, backgrounds)
         index = next(
             (i for i, bound in enumerate(instances)
              if bound is instance or bound == instance), None)
@@ -96,8 +86,8 @@ def decode_outcomes(
             outcomes.append((True, None, None, None))
             continue
         _, index, resolution, background = record
-        instances = _instances_for(
-            fault, memory_size, width, backgrounds, lf3_layout)
+        instances = grid_instances(
+            fault, memory_size, lf3_layout, width, backgrounds)
         outcomes.append((
             False,
             instances[index],

@@ -35,7 +35,6 @@ from repro.faults.library import fp_by_name
 from repro.faults.lists import fault_list_1, fault_list_2
 from repro.march.known import ALL_KNOWN
 from repro.march.test import parse_march
-from repro.memory.word import word_detects_instance, word_escape_sites
 from repro.sim import backends
 from repro.sim.batch import cached_instances
 from repro.sim.bitpar import MAX_LANES, BitparBatch, BitparMemory
@@ -133,18 +132,18 @@ class TestWordMatrix:
         backgrounds = resolve_backgrounds("standard", 4)
         for fault in stratified(fault_list_2(), 8):
             for instance in word_instances(fault, 5, 4, "straddle"):
-                assert word_escape_sites(
-                    test, instance, 5, 4, backgrounds,
-                    backend="dense") == \
-                    word_escape_sites(
-                        test, instance, 5, 4, backgrounds,
-                        backend="bitpar")
-                assert word_detects_instance(
-                    test, instance, 5, 4, backgrounds,
-                    backend="dense") == \
-                    word_detects_instance(
-                        test, instance, 5, 4, backgrounds,
-                        backend="bitpar")
+                assert escape_sites(
+                    test, instance, 5, backend="dense", width=4,
+                    backgrounds=backgrounds) == \
+                    escape_sites(
+                        test, instance, 5, backend="bitpar", width=4,
+                        backgrounds=backgrounds)
+                assert detects_instance(
+                    test, instance, 5, backend="dense", width=4,
+                    backgrounds=backgrounds) == \
+                    detects_instance(
+                        test, instance, 5, backend="bitpar", width=4,
+                        backgrounds=backgrounds)
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,10 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "MASKED" in result.stdout
         assert "DETECTED" in result.stdout
+        # One escape_sites line per ⇕ resolution of March ABL: the
+        # demo must unpack the ((background, resolution), site) runs.
+        assert "resolution U: element 1, cell 1" in result.stdout
+        assert "resolution D: element 1, cell 1" in result.stdout
 
     def test_generate_custom(self):
         result = run_example("generate_custom.py")

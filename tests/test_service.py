@@ -19,7 +19,9 @@ The acceptance surface of the service issue:
 """
 
 import json
+import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -27,9 +29,11 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro.service.server as server_module
 from repro.cli import main
 from repro.diagnosis import load_fleet_spec
 from repro.service import (
@@ -56,6 +60,19 @@ SMALL_JOB = {"kind": "campaign", "tests": ["March SL"],
 
 def small_spec(**overrides) -> JobSpec:
     return JobSpec.from_dict({**SMALL_JOB, **overrides})
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A settable monotonic clock seen by ``repro.service.server`` only.
+
+    The module's ``time`` binding is replaced, not ``time.monotonic``
+    itself, so every other thread in the process keeps the real clock.
+    """
+    now = [0.0]
+    monkeypatch.setattr(server_module, "time", SimpleNamespace(
+        monotonic=lambda: now[0], time=time.time, sleep=time.sleep))
+    return now
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +291,30 @@ class TestCoalescing:
         assert rerun.result.store_hits > 0
         assert rerun.result.report_bytes == record.result.report_bytes
 
+    def test_failed_job_does_not_poison_its_key(self, monkeypatch):
+        calls = []
+
+        class FailsOnce(JobRunner):
+            def run(self, spec):
+                calls.append(spec.job_id)
+                if len(calls) == 1:
+                    raise RuntimeError("transient failure")
+                return super().run(spec)
+
+        monkeypatch.setattr(server_module, "JobRunner", FailsOnce)
+        service = QualificationService()
+        failed, _ = service.submit(dict(SMALL_JOB))
+        assert failed.done.wait(timeout=120)
+        assert failed.status == "failed"
+        retry, coalesced = service.submit(dict(SMALL_JOB))
+        assert not coalesced
+        assert retry.job_id == failed.job_id
+        assert retry.done.wait(timeout=120)
+        service.stop()
+        assert retry.status == "done"
+        assert service.job(retry.job_id) is retry
+        assert len(calls) == 2
+
 
 # ----------------------------------------------------------------------
 # Queue bound, priority order, rate limiting
@@ -320,6 +361,36 @@ class TestQueueAndLimits:
         assert not bucket.allow("c")
         time.sleep(0.01)
         assert bucket.allow("c")
+
+    def test_token_bucket_forgets_refilled_clients(self, clock):
+        bucket = TokenBucket(rate=2.0, burst=3)
+        assert all(bucket.allow(f"client{i}") for i in range(1000))
+        clock[0] = 3 / 2.0 + 0.01  # past burst / rate
+        assert bucket.allow("late")
+        assert list(bucket._buckets) == ["late"]
+
+    def test_token_bucket_sweep_keeps_decisions(self, clock):
+        rng = random.Random(7)
+        swept = TokenBucket(rate=2.0, burst=2)
+        reference = TokenBucket(rate=2.0, burst=2)
+        reference._swept_at = math.inf  # never due: keeps every bucket
+        decisions = []
+        shrunk = False
+        for _ in range(500):
+            clock[0] += rng.choice((0.0, 0.0, 0.05, 0.3, 1.5))
+            client = f"c{rng.randrange(6)}"
+            decisions.append(swept.allow(client))
+            assert decisions[-1] == reference.allow(client)
+            shrunk |= len(swept._buckets) < len(reference._buckets)
+        assert True in decisions and False in decisions
+        assert shrunk
+
+    def test_token_bucket_without_refill_keeps_buckets(self, clock):
+        bucket = TokenBucket(rate=0.0, burst=1)
+        assert bucket.allow("a")
+        clock[0] = 1e6
+        assert not bucket.allow("a")
+        assert len(bucket._buckets) == 1
 
     def test_invalid_submission_counts_and_raises(self):
         service = QualificationService(autostart=False)

@@ -10,6 +10,8 @@ rung is exhausted.  The campaign/chaos suites prove the same ladder
 end-to-end on real qualification work.
 """
 
+import threading
+
 import pytest
 
 from repro.sim.supervisor import (
@@ -140,6 +142,25 @@ class TestSupervisorBasics:
                 (task.label, result)))
         assert sorted(seen) == [
             (f"square {x}", x * x) for x in range(5)]
+
+
+class TestPoolLifecycle:
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["clean", "respawned"])
+    def test_no_pool_thread_outlives_the_run(self, tmp_path, crash):
+        # The next pool is forked from this process; a retired pool's
+        # manager or queue-feeder thread still running at that moment
+        # is the fork-with-threads hazard that can deadlock a child.
+        tasks = squares(3)
+        if crash:
+            tasks.append(SupervisedTask(
+                "crasher", toy_crash_until,
+                (7, str(tmp_path / "crash"), 1)))
+        before = set(threading.enumerate())
+        supervisor = Supervisor(2, FAST)
+        assert supervisor.run(tasks)[:3] == [0, 1, 4]
+        assert (supervisor.report.count("respawn") >= 1) == crash
+        assert set(threading.enumerate()) <= before
 
 
 class TestRecovery:

@@ -36,17 +36,16 @@ from repro.memory.word import (
     SparseWordMemory,
     WordMemory,
     bound_word_cells,
-    make_word_memory,
     run_word_march,
-    word_detects_instance,
-    word_escape_sites,
 )
+from repro.sim.backends import make_memory
 from repro.sim.coverage import (
     CoverageOracle,
     make_instances,
     normalize_word_mode,
     qualify_test,
 )
+from repro.sim.engine import detects_instance, escape_sites
 from repro.sim.placements import role_placements
 
 
@@ -244,15 +243,15 @@ class TestWordMemory:
     def test_make_word_memory_dispatch(self):
         fault = word_instances(fp_by_name("SF0"), 16, 4)[0]
         assert isinstance(
-            make_word_memory(16, 4, fault, "sparse"), SparseWordMemory)
+            make_memory(16, fault, "sparse", width=4), SparseWordMemory)
         assert isinstance(
-            make_word_memory(16, 4, fault, "auto"), SparseWordMemory)
-        dense = make_word_memory(16, 4, fault, "dense")
+            make_memory(16, fault, "auto", width=4), SparseWordMemory)
+        dense = make_memory(16, fault, "dense", width=4)
         assert isinstance(dense, WordMemory)
         assert not isinstance(dense, SparseWordMemory)
         # Below the word-count crossover "auto" stays dense.
         assert not isinstance(
-            make_word_memory(3, 4, fault, "auto"), SparseWordMemory)
+            make_memory(3, fault, "auto", width=4), SparseWordMemory)
 
     def test_golden_word_memories_pass_marches(self):
         test = parse_march("c(w0) U(r0,w1) D(r1,w0) c(r0)")
@@ -308,8 +307,8 @@ class TestWordCoverageSemantics:
         instance = word_instances(fp_by_name("SF0"), 3, 1)[0]
         # Background (0,): writes 0, SF0 flips it, r0 detects.
         # Background (1,): writes 1, SF0 never sensitizes -- escape.
-        assert word_detects_instance(
-            test, instance, 3, 1, ((0,), (1,)))
+        assert detects_instance(
+            test, instance, 3, width=1, backgrounds=((0,), (1,)))
         report = qualify_test(
             test, [fp_by_name("SF0")], 3,
             width=1, backgrounds=((0,), (1,)))
@@ -368,14 +367,17 @@ class TestWordCoverageSemantics:
         test = parse_march("c(w0) c(r0)", name="sites")
         instance = word_instances(fp_by_name("SF0"), 3, 2)[0]
         backgrounds = standard_backgrounds(2)
-        sites = word_escape_sites(test, instance, 3, 2, backgrounds)
+        sites = escape_sites(
+            test, instance, 3, width=2, backgrounds=backgrounds)
         # 2 backgrounds x 4 resolutions of the two ⇕ elements.
         assert len(sites) == 2 * 4
-        assert {bg for bg, _, _ in sites} == set(backgrounds)
-        dense = word_escape_sites(
-            test, instance, 3, 2, backgrounds, backend="dense")
-        sparse = word_escape_sites(
-            test, instance, 3, 2, backgrounds, backend="sparse")
+        assert {bg for (bg, _), _ in sites} == set(backgrounds)
+        dense = escape_sites(
+            test, instance, 3, backend="dense", width=2,
+            backgrounds=backgrounds)
+        sparse = escape_sites(
+            test, instance, 3, backend="sparse", width=2,
+            backgrounds=backgrounds)
         assert dense == sparse
 
     def test_detection_site_reports_word_and_lane(self):

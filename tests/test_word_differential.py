@@ -34,8 +34,8 @@ from repro.faults.lists import (
 )
 from repro.march.known import ALL_KNOWN, known_march
 from repro.march.test import parse_march
-from repro.memory.word import word_escape_sites
 from repro.sim.coverage import make_instances, qualify_test
+from repro.sim.engine import escape_sites
 
 WIDTHS = (1, 4, 8)
 SIZES = (3, 16)
@@ -127,12 +127,12 @@ class TestWordBackendMatrix:
         backgrounds = standard_backgrounds(4)
         for fault in stratified(fault_list_1(), 8):
             for instance in make_instances(fault, 9):
-                dense = word_escape_sites(
-                    test, instance, 9, 4, backgrounds,
-                    backend="dense")
-                sparse = word_escape_sites(
-                    test, instance, 9, 4, backgrounds,
-                    backend="sparse")
+                dense = escape_sites(
+                    test, instance, 9, backend="dense", width=4,
+                    backgrounds=backgrounds)
+                sparse = escape_sites(
+                    test, instance, 9, backend="sparse", width=4,
+                    backgrounds=backgrounds)
                 assert dense == sparse
 
 
