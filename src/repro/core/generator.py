@@ -188,7 +188,11 @@ class MarchGenerator:
             ``(AddressOrder.UP,)`` yields an all-ascending test.  The
             default allows all three orders.
         max_elements: safety bound on generated elements.
-        exhaustive_limit: ``⇕`` resolution threshold for the oracle.
+        exhaustive_limit: carried into the oracles and the store key;
+            it bounds only the run grid
+            (:func:`repro.sim.engine.signature_runs`), so generation,
+            pruning and final qualification fork every ``⇕`` element
+            whatever its value.
         workers: process count for the final qualification step (the
             paper's "all generated Tests have been fault simulated"),
             run through :class:`~repro.sim.campaign.CoverageCampaign`.
@@ -209,15 +213,15 @@ class MarchGenerator:
             patterns; default: the standard ``ceil(log2 W) + 1`` set).
         store: opt-in qualification store (a
             :class:`repro.store.QualificationStore` or a database
-            path) for *cross-run* memoization.  Three seams benefit:
+            path) for *cross-run* memoization.  Two seams benefit:
             every committed march *prefix* is recorded as a complete
             qualification (extracted from the live incremental oracle,
-            no extra simulation), the pruner's hundreds of candidate
-            evaluations are served from / recorded into the store, and
-            the final qualification is content-addressed.  A repeated
-            generation run against the same store re-simulates almost
-            nothing; the generated test is identical with or without a
-            store.
+            no extra simulation), and the final qualification is
+            content-addressed.  Pruner candidates are neither served
+            from nor recorded into the store: the pruning guard
+            resumes each one from its own checkpoints instead of
+            qualifying it.  The generated test is identical with or
+            without a store.
     """
 
     def __init__(
@@ -319,7 +323,7 @@ class MarchGenerator:
             batch = CoverageOracle(
                 self.faults, self.memory_size, self.exhaustive_limit,
                 self.lf3_layout, self.backend, self.width,
-                self.backgrounds, store=self.store)
+                self.backgrounds)
             prune_result = prune_march(
                 unpruned, batch,
                 generalize_orders=self.generalize_orders)
@@ -469,7 +473,7 @@ class MarchGenerator:
             for bg_order in self._orders():
                 firsts.append(MarchElement(
                     bg_order, (write(background_value),)))
-        if len(oracle._pending) <= 200:
+        if oracle.pending_count <= 200:
             for shape in ELEMENT_SHAPES:
                 if shape[-1][0] != "r":
                     continue
@@ -502,11 +506,11 @@ class MarchGenerator:
         oracle: IncrementalCoverage,
         trace: List[TraceStep],
     ) -> Bit:
-        before_pending = len(oracle._pending)
+        before_pending = oracle.pending_count
         newly = len(oracle.append(element))
         elements.append(element)
         self._record_prefix(elements, oracle)
-        after_pending = len(oracle._pending)
+        after_pending = oracle.pending_count
         trace.append(TraceStep(
             element=element,
             newly_covered=newly,
@@ -531,8 +535,7 @@ class MarchGenerator:
         simulation.  Any later :func:`repro.sim.coverage.qualify_test`
         of an equivalent march against the same fault list and
         geometry -- a re-run of this generator, a campaign over
-        generated tests, a pruner candidate that happens to equal a
-        prefix -- is then a pure store hit.
+        generated tests -- is then a pure store hit.
         """
         if self.store is None:
             return

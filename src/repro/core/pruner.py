@@ -16,6 +16,14 @@ consistent and (b) it still covers every fault the original test
 covered (not merely "stays complete": pruning is also used on tests
 that cover a strict subset of a list).
 
+Acceptance never re-qualifies a candidate from scratch.  The guard
+qualifies the original test once, incrementally, keeping each
+protected fault's pending contexts after every element of the last
+accepted test.  A candidate shares elements ``0..k-1`` with that test,
+so each protected fault resumes from its checkpoint ``k``, runs the
+candidate's remaining elements on its own, and the candidate is
+rejected at the first protected fault that escapes.
+
 An optional final pass *generalizes* address orders: elements whose
 direction does not matter are re-marked ``⇕`` (the ``c`` of Table 1),
 which widens implementation freedom at equal length -- the form the
@@ -26,11 +34,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Set
+from typing import Dict, List, Set
 
 from repro.march.element import AddressOrder
 from repro.march.test import MarchTest
-from repro.sim.coverage import CoverageOracle
+from repro.sim.coverage import CoverageOracle, IncrementalCoverage
 
 
 @dataclass
@@ -57,21 +65,85 @@ class CoverageGuard:
     ``accepts(candidate: MarchTest) -> bool`` method works
     (:mod:`repro.diagnosis.distinguish` plugs in a partition-preserving
     guard to prune distinguishing suffixes through the same passes).
+
+    A fault name is *protected* when *reference* detects one of its
+    occurrences, and a candidate is accepted when it detects, for
+    every protected name, at least one occurrence -- the verdict of
+    :meth:`CoverageOracle.evaluate`, reached without it: the
+    protected faults' contexts are checkpointed after every element of
+    the last accepted test (see the module notes).  *oracle* supplies
+    the fault list, geometry and backend.
     """
 
     def __init__(self, oracle: CoverageOracle, reference: MarchTest):
         self.oracle = oracle
+        self._coverage = IncrementalCoverage(
+            oracle.faults, oracle.memory_size, oracle.exhaustive_limit,
+            oracle.lf3_layout, oracle.backend, oracle.width,
+            oracle.backgrounds)
+        indexes = range(len(oracle.faults))
+        trails = [[self._coverage.pending_of(i)] for i in indexes]
+        for element in reference.elements:
+            self._coverage.append(element)
+            for index in indexes:
+                trails[index].append(self._coverage.pending_of(index))
         self.protected: Set[str] = {
-            fault.name for fault in oracle.evaluate(reference).detected}
+            oracle.faults[i].name
+            for i in self._coverage.covered_indexes()}
+        #: Protected names in fault-list order, each with the indexes
+        #: of all its occurrences.
+        self._names: Dict[str, List[int]] = {}
+        for index, fault in enumerate(oracle.faults):
+            if fault.name in self.protected:
+                self._names.setdefault(fault.name, []).append(index)
+        #: ``index -> [pending contexts after accepted.elements[:j]]``.
+        self._checkpoints = {
+            index: trails[index]
+            for group in self._names.values() for index in group}
+        self._accepted = reference
         self.evaluations = 0
 
     def accepts(self, candidate: MarchTest) -> bool:
         if not candidate.is_consistent():
             return False
         self.evaluations += 1
-        report = self.oracle.evaluate(candidate)
-        covered = {fault.name for fault in report.detected}
-        return self.protected <= covered
+        start = _shared_prefix(
+            self._accepted.elements, candidate.elements)
+        tail = candidate.elements[start:]
+        trails: Dict[int, List[list]] = {}
+        for group in self._names.values():
+            detected = False
+            for index in group:
+                trail = self._resume(
+                    self._checkpoints[index][start], tail)
+                trails[index] = trail
+                detected = detected or not trail[-1]
+            if not detected:
+                return False
+        for index, trail in trails.items():
+            self._checkpoints[index][start:] = trail
+        self._accepted = candidate
+        return True
+
+    def _resume(self, pending: list, tail) -> List[list]:
+        """One fault's pending contexts before and after each element
+        of *tail*; nothing is simulated once none is left."""
+        trail = [pending]
+        for element in tail:
+            if pending:
+                pending = self._coverage.step(pending, element)
+            trail.append(pending)
+        return trail
+
+
+def _shared_prefix(left, right) -> int:
+    """Length of the common leading run of two element tuples."""
+    length = 0
+    for a, b in zip(left, right):
+        if a != b:
+            break
+        length += 1
+    return length
 
 
 def prune_march(

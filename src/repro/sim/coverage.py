@@ -39,7 +39,7 @@ from repro.memory.word import (
 )
 from repro.sim.backends import get_backend, resolve_backend
 from repro.sim.batch import grid_instances, register_cache
-from repro.sim.engine import detects_instance, run_element
+from repro.sim.engine import run_element
 from repro.sim.engine import signature_runs  # noqa: F401 -- re-export
 from repro.sim.placements import DEFAULT_MEMORY_SIZE
 from repro.sim.sparse import blank_snapshot
@@ -220,8 +220,12 @@ class CoverageOracle:
         faults: the coverage targets (linked faults and/or simple FPs).
         memory_size: simulated memory size (default 3; see DESIGN.md
             §3.3).
-        exhaustive_limit: threshold for exhaustive ``⇕`` resolution
-            enumeration.
+        exhaustive_limit: bounds the run grid only
+            (:func:`repro.sim.engine.signature_runs`, and through it
+            dictionaries, escape sites, ``detects_instance`` and BIST
+            verification).  :meth:`evaluate` and :meth:`detects` fork
+            every ``⇕`` element exhaustively whatever its value; it is
+            still part of the qualification store key.
         lf3_layout: three-cell placement policy (``"straddle"`` default
             per the Figure 1 calibration; ``"all"`` for the strict
             superset).
@@ -264,8 +268,8 @@ class CoverageOracle:
             width, backgrounds)
         self.store = open_store(store)
         #: Content id of the fault list, hashed once per oracle so
-        #: repeated :meth:`evaluate` calls (the pruner issues hundreds)
-        #: only hash the candidate notation.
+        #: repeated :meth:`evaluate` calls only hash the candidate
+        #: notation.
         self._fault_list_key = (
             fault_list_id(self.faults) if self.store is not None
             else None)
@@ -288,13 +292,15 @@ class CoverageOracle:
         return list(self._instances[fault_name(fault)])
 
     def detects(self, test: MarchTest, fault: TargetFault) -> bool:
-        """Does *test* detect every placement of *fault*?"""
-        return all(
-            detects_instance(
-                test, instance, self.memory_size, self.exhaustive_limit,
-                self.backend, self.width, self.backgrounds)
-            for instance in self._instances[fault_name(fault)]
-        )
+        """Does *test* detect every placement of *fault*?
+
+        Answered by :func:`qualify_outcomes` over *fault* alone --
+        the path :meth:`evaluate` takes -- so the two always agree.
+        """
+        outcomes, _ = qualify_outcomes(
+            test, [fault], self.memory_size, self.exhaustive_limit,
+            self.lf3_layout, self.backend, self.width, self.backgrounds)
+        return outcomes[0][0]
 
     def evaluate(self, test: MarchTest) -> CoverageReport:
         """Qualify *test* against the whole fault list.
@@ -457,6 +463,20 @@ class _Context:
     background: int = -1
 
 
+#: One context's run of one element in one direction: ``None`` when
+#: the run detected, else the post-element ``(snapshot, previous)``.
+_Outcome = Optional[Tuple[int, object]]
+
+
+def _directions(order: AddressOrder) -> Tuple[bool, ...]:
+    """The ``descending`` flags an element of *order* runs under."""
+    if order is AddressOrder.UP:
+        return (False,)
+    if order is AddressOrder.DOWN:
+        return (True,)
+    return (False, True)
+
+
 class IncrementalCoverage:
     """Snapshot-based incremental coverage for the generator.
 
@@ -464,6 +484,11 @@ class IncrementalCoverage:
     :meth:`append` the oracle advances every still-pending simulation
     context and records which faults became fully covered.
     :meth:`probe` scores a candidate element without committing.
+
+    Every ``⇕`` element forks both directions, however many there
+    are: ``exhaustive_limit`` is only carried along (it bounds the
+    run grid of :func:`repro.sim.engine.signature_runs`, never this
+    oracle).
     """
 
     def __init__(
@@ -536,6 +561,10 @@ class IncrementalCoverage:
         #: with :func:`qualify_outcomes` (see
         #: :meth:`MarchGenerator._record_prefix`).
         self.committed_contexts = 0
+        #: :meth:`probe`'s runs from the pending set, by direction:
+        #: ``descending -> (operations, outcome column)``; cleared by
+        #: :meth:`append`.
+        self._held: Dict[bool, Tuple[tuple, List[_Outcome]]] = {}
         if self.backgrounds is not None:
             self._init_word_contexts(instance_lists)
             return
@@ -587,6 +616,15 @@ class IncrementalCoverage:
     @property
     def uncovered_count(self) -> int:
         return len(self.faults) - len(self._covered)
+
+    @property
+    def pending_count(self) -> int:
+        """Number of pending (still undetected) simulation contexts."""
+        return len(self._pending)
+
+    def pending_of(self, index: int) -> List[_Context]:
+        """The pending contexts of fault *index* (empty once covered)."""
+        return list(self._pending_by_fault.get(index, ()))
 
     def covered_names(self) -> Set[str]:
         """Names of fully covered faults."""
@@ -668,10 +706,10 @@ class IncrementalCoverage:
     def append(self, element: MarchElement) -> Set[int]:
         """Commit *element*; return indices of newly covered faults."""
         before_contexts = self.contexts_simulated
-        survivors = self._advance(self._pending, element)
+        self._pending = self.step(self._pending, element)
         self.committed_contexts += (
             self.contexts_simulated - before_contexts)
-        self._pending = self._retire_detected(self._dedup(survivors))
+        self._held = {}
         self._pending_by_fault = {}
         for ctx in self._pending:
             self._pending_by_fault.setdefault(
@@ -688,6 +726,13 @@ class IncrementalCoverage:
     ) -> Tuple[int, int]:
         """Score one or more candidate elements without committing.
 
+        The first element's runs start from the pending set, so each
+        ``(operations, direction)`` run is simulated at most once per
+        committed prefix: the outcomes of the latest operations probed
+        in each direction are held until the next :meth:`append`, and
+        a ``⇕`` candidate reuses those of its ``⇑`` and ``⇓`` siblings
+        (every kernel derives its addresses from the direction alone).
+
         Returns:
             ``(newly_covered_faults, contexts_resolved)`` -- the primary
             and tie-breaking components of the generator's gain metric.
@@ -697,10 +742,12 @@ class IncrementalCoverage:
         """
         if isinstance(elements, MarchElement):
             elements = [elements]
-        pending = self._pending
-        for element in elements:
-            pending = self._retire_detected(
-                self._dedup(self._advance(pending, element)))
+        first = elements[0]
+        directions = _directions(first.order)
+        pending = self._settle(
+            self._pending, directions, self._held_runs(first, directions))
+        for element in elements[1:]:
+            pending = self.step(pending, element)
         pending_after: Dict[int, int] = {}
         for ctx in pending:
             pending_after[ctx.fault_index] = (
@@ -711,31 +758,70 @@ class IncrementalCoverage:
         contexts_resolved = max(0, len(self._pending) - len(pending))
         return newly_covered, contexts_resolved
 
-    def _advance(
+    def step(
         self, pending: List[_Context], element: MarchElement
     ) -> List[_Context]:
-        """Run *element* from every pending snapshot.
+        """The contexts of *pending* still undetected after *element*.
 
-        ``⇕`` elements fork each context into an ascending and a
-        descending continuation: the final test must detect under every
-        resolution.
+        Runs *element* from every context's snapshot, then merges
+        duplicate states (:meth:`_dedup`) and retires word-mode
+        instances some background caught (:meth:`_retire_detected`).
+        Commits nothing: :meth:`append`, :meth:`probe` and the pruning
+        guard (:class:`repro.core.pruner.CoverageGuard`) all advance
+        through it.  Both helpers key on the fault index, so stepping
+        one fault's contexts alone yields exactly that fault's share
+        of stepping the whole list.
         """
-        if element.order is AddressOrder.UP:
-            directions = (False,)
-        elif element.order is AddressOrder.DOWN:
-            directions = (True,)
-        else:
-            directions = (False, True)
+        directions = _directions(element.order)
+        return self._settle(
+            pending, directions, self._run(pending, element, directions))
+
+    def _held_runs(
+        self, element: MarchElement, directions: Tuple[bool, ...]
+    ) -> List[List[_Outcome]]:
+        """:meth:`_run` from the pending set, memoized per direction.
+
+        Keeps the outcomes of the latest operations run in each
+        direction -- at most two per pending context.
+        """
+        operations = element.operations
+        missing = tuple(
+            descending for descending in directions
+            if self._held.get(descending, (None,))[0] != operations)
+        if missing:
+            runs = self._run(self._pending, element, missing)
+            for descending, column in zip(missing, runs):
+                self._held[descending] = (operations, column)
+        return [self._held[descending][1] for descending in directions]
+
+    def _run(
+        self,
+        pending: List[_Context],
+        element: MarchElement,
+        directions: Tuple[bool, ...],
+    ) -> List[List[_Outcome]]:
+        """Run *element* from every pending snapshot, per direction.
+
+        Returns one column per direction flag, aligned with *pending*:
+        ``None`` where the run detected, else the post-element
+        ``(snapshot, previous)`` pair.  Fault-granularity backends run
+        the whole set through their
+        :class:`~repro.sim.backends.PlacementBatch`.
+        """
+        self.contexts_simulated += len(pending) * len(directions)
         if self._batch is not None:
-            return self._advance_batched(pending, element, directions)
-        survivors: List[_Context] = []
+            per_context = self._batch.advance_all(
+                pending, element, self._element_count, directions)
+            return [[outcomes[d_index] for outcomes in per_context]
+                    for d_index in range(len(directions))]
         word = self.backgrounds is not None
-        for ctx in pending:
-            memory = self._memory_for(ctx.instance)
-            for descending in directions:
+        columns: List[List[_Outcome]] = []
+        for descending in directions:
+            column: List[_Outcome] = []
+            for ctx in pending:
+                memory = self._memory_for(ctx.instance)
                 memory.load_packed(ctx.snapshot)
                 memory.previous_operation = ctx.previous
-                self.contexts_simulated += 1
                 if word:
                     site = run_word_element(
                         element, self._element_count, memory,
@@ -744,41 +830,31 @@ class IncrementalCoverage:
                     site = run_element(
                         element, self._element_count, memory,
                         descending)
-                if site is not None:
-                    continue
-                survivors.append(_Context(
-                    ctx.fault_index,
-                    ctx.instance,
-                    ctx.resolution + ((descending,)
-                                      if len(directions) == 2 else ()),
-                    memory.packed_state(),
-                    memory.previous_operation,
-                    ctx.background,
-                ))
-        return survivors
+                column.append(
+                    None if site is not None
+                    else (memory.packed_state(), memory.previous_operation))
+            columns.append(column)
+        return columns
 
-    def _advance_batched(
+    def _settle(
         self,
         pending: List[_Context],
-        element: MarchElement,
         directions: Tuple[bool, ...],
+        columns: List[List[_Outcome]],
     ) -> List[_Context]:
-        """The fault-granularity form of :meth:`_advance`.
+        """Assemble the survivors of :meth:`_run`, dedup and retire.
 
-        The backend's :class:`~repro.sim.backends.PlacementBatch`
-        simulates every pending context in grouped packs; survivors
-        are assembled context-major, direction-minor -- the exact
-        order (and ``contexts_simulated`` accounting) of the
-        one-memory-at-a-time loop, so reports, witnesses and dedup
-        behaviour are byte-identical.
+        Survivors come context-major, direction-minor, and ``⇕``
+        elements fork each context's resolution into an ascending and
+        a descending continuation (the final test must detect under
+        every resolution) -- the order reports, witnesses and dedup
+        depend on.
         """
-        outcomes = self._batch.advance_all(
-            pending, element, self._element_count, directions)
         fork = len(directions) == 2
         survivors: List[_Context] = []
-        for ctx, per_direction in zip(pending, outcomes):
-            self.contexts_simulated += len(directions)
-            for descending, outcome in zip(directions, per_direction):
+        for position, ctx in enumerate(pending):
+            for descending, column in zip(directions, columns):
+                outcome = column[position]
                 if outcome is None:
                     continue
                 snapshot, previous = outcome
@@ -790,7 +866,7 @@ class IncrementalCoverage:
                     previous,
                     ctx.background,
                 ))
-        return survivors
+        return self._retire_detected(self._dedup(survivors))
 
     def _retire_detected(
         self, contexts: List[_Context]

@@ -4,14 +4,19 @@ import pytest
 
 from repro.faults.library import fp_by_name
 from repro.faults.linked import LinkedFault, Topology
-from repro.faults.lists import lf1_faults, simple_single_cell_faults
+from repro.faults.lists import (
+    fault_list_1,
+    lf1_faults,
+    simple_single_cell_faults,
+)
 from repro.march.element import AddressOrder, MarchElement
-from repro.march.test import parse_march
+from repro.march.test import MarchTest, parse_march
 from repro.faults.operations import read, write
 from repro.sim.coverage import (
     CoverageOracle,
     IncrementalCoverage,
     make_instances,
+    qualify_outcomes,
 )
 
 
@@ -67,6 +72,20 @@ class TestCoverageOracle:
         bad = parse_march("c(w1) c(r1)")
         assert oracle.detects(good, fp_by_name("SF0"))
         assert not oracle.detects(bad, fp_by_name("SF0"))
+
+    def test_detects_agrees_with_evaluate_past_exhaustive_limit(self):
+        # Eight ⇕ elements, more than exhaustive_limit (6): the one
+        # escaping resolution (UUUUDUDU) must not be sampled away.
+        fault = next(f for f in fault_list_1()
+                     if f.name == "LF2aa:CFds_1w0_v0->CFst_a0_v1")
+        test = parse_march(
+            "c(w0) c(r0) c(r0) c(r0,w1) c(r1,w0,w1,w0) c(r0,w1,r1)"
+            " c(r1,w0) c(r0,w1,r1)")
+        oracle = CoverageOracle([fault])
+        report = oracle.evaluate(test)
+        assert not report.complete
+        assert str(report.escapes[0]).endswith("(⇕ resolution UUUUDUDU)")
+        assert not oracle.detects(test, fault)
 
 
 class TestIncrementalCoverage:
@@ -222,3 +241,83 @@ class TestWitnessPendingMap:
         oracle.append(MarchElement(AddressOrder.ANY, (read(0),)))
         with pytest.raises(KeyError):
             oracle.witness_for(0)
+
+
+# ----------------------------------------------------------------------
+# Probe runs held per (operations, direction)
+# ----------------------------------------------------------------------
+_LINKED = lf1_faults()[::5] + fault_list_1()[40::150]
+_LINKED_WORD = fault_list_1()[100::190]
+PROBE_CASES = {
+    "bit-dense": dict(faults=_LINKED, memory_size=3, backend="dense"),
+    "bit-sparse": dict(faults=_LINKED, memory_size=8, backend="sparse"),
+    "bit-bitpar": dict(faults=_LINKED, memory_size=8, backend="bitpar"),
+    "word-dense": dict(faults=_LINKED_WORD, width=4, backend="dense"),
+    "word-sparse": dict(faults=_LINKED_WORD, width=4, backend="sparse"),
+    "word-bitpar": dict(faults=_LINKED_WORD, width=4, backend="bitpar"),
+}
+_PREFIX = parse_march("c(w0) U(r0,w1)").elements
+#: Each enters and leaves at 1, so they commit in any sequence.
+_OPERATIONS = [el.operations for el in parse_march(
+    "c(r1,w0,r0,w1) c(r1,r1,w0,w1) c(r1,w0,w1,r1)").elements]
+_ORDER_RUNS = {
+    "any-last": (AddressOrder.UP, AddressOrder.DOWN, AddressOrder.ANY),
+    "any-first": (AddressOrder.ANY, AddressOrder.UP, AddressOrder.DOWN),
+}
+
+
+class TestHeldProbeRuns:
+    """Reusing a probe's runs across candidates of equal operations
+    changes no score, and commits stay exactly a fresh
+    qualification."""
+
+    def _oracle(self, case):
+        oracle = IncrementalCoverage(**PROBE_CASES[case])
+        for element in _PREFIX:
+            oracle.append(element)
+        return oracle
+
+    def _cold(self, case, elements):
+        """The score with nothing held: a fresh oracle's first probe."""
+        return self._oracle(case).probe(elements)
+
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_scores_match_fresh_probes(self, case):
+        warm = self._oracle(case)
+        cold = {}
+        for runs in ("any-last", "any-first", "any-last"):
+            for operations in _OPERATIONS:
+                for order in _ORDER_RUNS[runs]:
+                    element = MarchElement(order, operations)
+                    if element not in cold:
+                        cold[element] = self._cold(case, element)
+                    assert warm.probe(element) == cold[element], \
+                        (runs, element)
+        background = MarchElement(AddressOrder.ANY, (write(0),))
+        for follow in parse_march("D(r0,w1,r1) U(r0,r0,w1)").elements:
+            pair = [background, follow]
+            assert warm.probe(pair) == self._cold(case, pair)
+
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_append_after_probes_equals_qualification(self, case):
+        oracle = self._oracle(case)
+        committed = list(_PREFIX)
+        params = dict(PROBE_CASES[case])
+        faults = params.pop("faults")
+        for operations in _OPERATIONS:
+            for order in _ORDER_RUNS["any-first"]:
+                oracle.probe(MarchElement(order, operations))
+            element = MarchElement(AddressOrder.DOWN, operations)
+            oracle.append(element)
+            committed.append(element)
+            outcomes, contexts = qualify_outcomes(
+                MarchTest("prefix", tuple(committed)), faults, **params)
+            assert oracle.outcomes() == outcomes
+            assert oracle.committed_contexts == contexts
+            # Runs held from the previous prefix are gone.
+            for order in _ORDER_RUNS["any-first"]:
+                again = MarchElement(order, operations)
+                fresh = IncrementalCoverage(faults, **params)
+                for done in committed:
+                    fresh.append(done)
+                assert oracle.probe(again) == fresh.probe(again)

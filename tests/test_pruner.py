@@ -1,11 +1,20 @@
 """Unit tests for the simulation-guarded pruner."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from repro.core.pruner import prune_march
+import repro.core.pruner as pruner
+from repro.core.pruner import CoverageGuard, prune_march
 from repro.faults.library import fp_by_name
-from repro.faults.lists import fault_list_2, simple_single_cell_faults
+from repro.faults.lists import (
+    fault_list_1,
+    fault_list_2,
+    simple_single_cell_faults,
+)
+from repro.faults.primitives import parse_fp
 from repro.march.element import AddressOrder
+from repro.march.known import known_march
 from repro.march.test import parse_march
 from repro.sim.coverage import CoverageOracle
 
@@ -119,3 +128,144 @@ class TestGuardedDropPasses:
         # The protected prefix keeps both of its operations.
         assert reduced.elements[0] == test.elements[0]
         assert dropped >= 1
+
+
+# ----------------------------------------------------------------------
+# Checkpointed guard == full requalification
+# ----------------------------------------------------------------------
+class _RequalifyingGuard:
+    """The acceptance rule stated directly: requalify every candidate
+    from element 0 and compare detected names."""
+
+    def __init__(self, oracle, reference):
+        self.oracle = oracle
+        self.protected = {
+            fault.name for fault in oracle.evaluate(reference).detected}
+        self.evaluations = 0
+
+    def accepts(self, candidate):
+        if not candidate.is_consistent():
+            return False
+        self.evaluations += 1
+        covered = {
+            fault.name for fault in self.oracle.evaluate(candidate).detected}
+        return self.protected <= covered
+
+
+#: The unpruned march the generator builds for FL#1 at n=3.
+FL1_UNPRUNED = (
+    "c(w0) U(r0,w1,r1,r1,w1,r1,w0,r0) D(r0,r0,w0,r0)"
+    " U(r0,r0,w1,w1,r1,r1,w0,w0,r0,w1) U(r1,r1,w1,r1,w0,w0,r0)"
+    " D(r0,w1) U(r1)")
+
+#: Two behaviourally distinct faults under one name (an up and a down
+#: transition fault), plus a bystander.
+_TWINS = [parse_fp("<0w1/0/->", name="X"), parse_fp("<1w0/1/->", name="X"),
+          fp_by_name("SF0")]
+
+GUARD_CASES = {
+    "fl2": (lambda: CoverageOracle(fault_list_2()), "March SL"),
+    "fl1-slice": (
+        lambda: CoverageOracle(fault_list_1()[::73]), FL1_UNPRUNED),
+    "word-w4": (
+        lambda: CoverageOracle(
+            [fp_by_name("CFds_0w1_v0"), fp_by_name("TFD"),
+             fp_by_name("TFU"), fault_list_2()[5], fault_list_2()[17]],
+            width=4),
+        "c(w0) U(r0,w1) D(r1,w0,r0)"),
+    "sparse-n8": (
+        lambda: CoverageOracle(
+            fault_list_1()[5::97], memory_size=8, backend="sparse"),
+        "March SL"),
+    "bitpar-n8": (
+        lambda: CoverageOracle(
+            fault_list_1()[11::97], memory_size=8, backend="bitpar"),
+        "March SL"),
+    "twins": (
+        lambda: CoverageOracle(_TWINS),
+        "c(w0) U(r0,w1) D(r1,w0) c(r0,w1,r1)"),
+}
+
+
+def _reference_march(spec):
+    if "(" in spec:
+        return parse_march(spec, name="reference")
+    return known_march(spec).test
+
+
+def _edit(data, test):
+    """One pruner-style edit of *test*: drop an element or an
+    operation, merge two neighbours, or change an address order."""
+    index = data.draw(st.integers(0, len(test.elements) - 1))
+    element = test.elements[index]
+    kind = data.draw(st.sampled_from(("element", "op", "merge", "order")))
+    if kind == "element" and len(test.elements) > 1:
+        return test.drop_element(index)
+    if kind == "op" and len(element.operations) > 1:
+        op = data.draw(st.integers(0, len(element.operations) - 1))
+        return test.replace_element(index, element.without_operation(op))
+    if kind == "merge" and index + 1 < len(test.elements):
+        fused = element.concat(test.elements[index + 1])
+        return test.with_elements(
+            test.elements[:index] + (fused,) + test.elements[index + 2:])
+    order = data.draw(st.sampled_from(list(AddressOrder)))
+    return test.replace_element(index, element.with_order(order))
+
+
+class TestGuardEquivalence:
+    """Resuming protected faults from the last accepted test's
+    checkpoints gives the verdict a full requalification gives, on
+    every candidate, while accepts keep moving the checkpoints."""
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_same_verdicts(self, case, data):
+        make_oracle, spec = GUARD_CASES[case]
+        oracle = make_oracle()
+        reference = _reference_march(spec)
+        guard = CoverageGuard(oracle, reference)
+        expected = _RequalifyingGuard(oracle, reference)
+        assert guard.protected == expected.protected
+        current = reference
+        for _ in range(5):
+            candidate = _edit(data, current)
+            if data.draw(st.booleans()):
+                candidate = _edit(data, candidate)
+            verdict = guard.accepts(candidate)
+            assert verdict == expected.accepts(candidate), \
+                candidate.notation()
+            if verdict:
+                current = candidate
+        assert guard.evaluations == expected.evaluations
+
+    def test_twins_one_detected_occurrence_suffices(self):
+        oracle = CoverageOracle(_TWINS)
+        reference = parse_march("c(w0) c(r0,w1) c(r1,w0) c(r0)")
+        guard = CoverageGuard(oracle, reference)
+        expected = _RequalifyingGuard(oracle, reference)
+        assert guard.protected == {"X", "SF0"}
+        for notation, verdict in (
+                # Only the up-transition twin is still caught ...
+                ("c(w0) c(r0,w1) c(r1,w0)", True),
+                # ... and, from the new checkpoints, only the down one.
+                ("c(w0) c(r0,w1) c(w0) c(r0)", True),
+                # Neither twin.
+                ("c(w0) c(r0,w1) c(w0)", False)):
+            candidate = parse_march(notation)
+            assert guard.accepts(candidate) is verdict, notation
+            assert expected.accepts(candidate) is verdict, notation
+
+    def test_prune_march_unchanged_on_fl2(self, monkeypatch):
+        oracle = CoverageOracle(fault_list_2())
+        unpruned = parse_march(
+            "c(w0) c(r0,r0,w1,w1,r1,r1,w0,w0,r0,w1)", name="fl2")
+        fast = prune_march(unpruned, oracle)
+        monkeypatch.setattr(pruner, "CoverageGuard", _RequalifyingGuard)
+        slow = prune_march(unpruned, oracle)
+        assert fast.test.notation() == slow.test.notation()
+        assert (fast.removed_operations, fast.removed_elements,
+                fast.merged_elements, fast.generalized_orders) == \
+            (slow.removed_operations, slow.removed_elements,
+             slow.merged_elements, slow.generalized_orders)

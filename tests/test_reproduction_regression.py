@@ -1,11 +1,11 @@
 """Regression pins for the headline reproduction outcomes.
 
-These tests freeze the quantitative results EXPERIMENTS.md reports, so
-any semantic drift in the fault models, the simulator or the generator
-shows up as a failure here rather than as a silent change of the
-reproduction's claims.  Complexity pins use inequalities where the
-generator's search order may legitimately evolve, and exact values
-where the paper's numbers are matched exactly.
+These tests freeze the quantitative results of the README's Table 1
+section, so any semantic drift in the fault models, the simulator, the
+generator or the pruner shows up as a failure here rather than as a
+silent change of the reproduction's claims.  The generated marches and
+the pruner's accounting are pinned exactly: a faster search must find
+the same test.
 """
 
 import pytest
@@ -20,6 +20,13 @@ from repro.march.known import (
     MARCH_SL,
 )
 from repro.sim.coverage import CoverageOracle
+
+#: The marches the generator yields at the paper's geometry (n=3,
+#: straddle, bit-oriented).
+FL1_MARCH = (
+    "⇕(w0); ⇑(r0,w1,r1,w0); ⇑(r0,r0,w1,w1,r1,r1,w0,w0,r0,w1); "
+    "⇑(r1,r1,w1,r1,w0,w0,r0); ⇓(r0,w1); ⇕(r1)")
+FL2_MARCH = "⇕(w0,r0,r0,w1,r1,r1,w0,w0,r0)"
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +56,9 @@ class TestFaultList2Row:
     def test_faster_than_a_minute(self, generated_fl2):
         assert generated_fl2.seconds < 60
 
+    def test_pinned_march(self, generated_fl2):
+        assert generated_fl2.test.notation() == FL2_MARCH
+
 
 class TestFaultList1Row:
     """The Table 1 ABL row: complete coverage, shorter than every
@@ -71,6 +81,18 @@ class TestFaultList1Row:
     def test_independent_validation(self, generated_fl1):
         oracle = CoverageOracle(fault_list_1())
         assert oracle.evaluate(generated_fl1.test).complete
+
+    def test_pinned_march(self, generated_fl1):
+        assert generated_fl1.test.notation() == FL1_MARCH
+
+    def test_pinned_prune_accounting(self, generated_fl1):
+        prune = generated_fl1.prune
+        assert generated_fl1.unpruned.complexity == 33
+        assert prune.original_complexity == 33
+        assert prune.removed_operations == 4
+        assert prune.removed_elements == 1
+        assert prune.merged_elements == 0
+        assert prune.generalized_orders == 1
 
 
 class TestImprovementArithmetic:
