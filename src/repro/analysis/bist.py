@@ -31,8 +31,9 @@ synthesizable Verilog text (:meth:`BistProgram.to_verilog`).  The
 correctness story is *trace equivalence*: re-simulating the emitted
 program through our own engine must reproduce the direct march run --
 operation grid, detection sites and report bytes -- which
-:func:`repro.sim.bist.verify_program` proves and the ``bist-smoke`` CI
-job enforces.  See ``DESIGN_bist.md``.
+:func:`repro.sim.bist.verify_program` proves (``repro-march bist``
+and the ``bist`` job kind run it after compiling).  See
+``DESIGN_bist.md``.
 """
 
 from __future__ import annotations

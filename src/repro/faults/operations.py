@@ -143,6 +143,21 @@ def wait() -> Operation:
     return Operation(OpKind.WAIT)
 
 
+#: Longest quotation of user input an error message makes: enough to
+#: show what went wrong, bounded so a huge invalid input cannot make a
+#: huge error text (the job service returns it as the HTTP 400 body).
+QUOTE_LIMIT = 80
+
+
+def quoted(text: str) -> str:
+    """``repr(text)`` for an error message, cut to
+    :data:`QUOTE_LIMIT` characters plus the input's length."""
+    shown = repr(text)
+    if len(shown) <= QUOTE_LIMIT:
+        return shown
+    return f"{shown[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def parse_operation(text: str) -> Operation:
     """Parse one operation in the paper's notation.
 
@@ -162,7 +177,8 @@ def parse_operation(text: str) -> Operation:
     if rest.startswith("["):
         close = rest.find("]")
         if close < 0:
-            raise ValueError(f"unterminated address in operation {text!r}")
+            raise ValueError(
+                f"unterminated address in operation {quoted(text)}")
         cell = int(rest[1:close])
         rest = rest[close + 1:]
     value: Optional[Bit]
@@ -171,14 +187,14 @@ def parse_operation(text: str) -> Operation:
     elif rest in ("0", "1"):
         value = int(rest)
     else:
-        raise ValueError(f"invalid operation literal {text!r}")
+        raise ValueError(f"invalid operation literal {quoted(text)}")
     if head == "w":
         if value is None:
-            raise ValueError(f"write without a value in {text!r}")
+            raise ValueError(f"write without a value in {quoted(text)}")
         return write(value, cell)
     if head == "r":
         return read(value, cell)
-    raise ValueError(f"invalid operation literal {text!r}")
+    raise ValueError(f"invalid operation literal {quoted(text)}")
 
 
 #: The sensitizing operations available on a single cell, in a canonical

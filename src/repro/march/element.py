@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
-from repro.faults.operations import Operation, parse_operation
+from repro.faults.operations import Operation, parse_operation, quoted
 from repro.faults.values import Bit
 
 
@@ -76,7 +76,7 @@ def parse_address_order(text: str) -> AddressOrder:
     try:
         return _ORDER_ALIASES[text.strip().lower()]
     except KeyError:
-        raise ValueError(f"unknown address order {text!r}") from None
+        raise ValueError(f"unknown address order {quoted(text)}") from None
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def parse_element(text: str) -> MarchElement:
     body = text.strip()
     open_paren = body.find("(")
     if open_paren < 0 or not body.endswith(")"):
-        raise ValueError(f"malformed march element {text!r}")
+        raise ValueError(f"malformed march element {quoted(text)}")
     order = parse_address_order(body[:open_paren])
     inner = body[open_paren + 1:-1]
     ops = tuple(
@@ -206,5 +206,6 @@ def parse_element(text: str) -> MarchElement:
         if piece.strip()
     )
     if not ops:
-        raise ValueError(f"march element without operations: {text!r}")
+        raise ValueError(
+            f"march element without operations: {quoted(text)}")
     return MarchElement(order, ops)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
+from repro.faults.operations import quoted
 from repro.faults.values import DONT_CARE, CellState
 from repro.march.element import MarchElement, parse_element
 
@@ -196,7 +197,7 @@ def parse_march(text: str, name: str = "march") -> MarchTest:
     stripped = re.sub(r"[;{}]", " ", text)
     matches = list(re.finditer(r"([^\s()]+)\s*\(([^()]*)\)", stripped))
     if not matches:
-        raise ValueError(f"no march elements found in {text!r}")
+        raise ValueError(f"no march elements found in {quoted(text)}")
     consumed = "".join(m.group(0) for m in matches)
     leftovers = re.sub(r"\s+", "", stripped)
     for m in matches:
@@ -204,7 +205,8 @@ def parse_march(text: str, name: str = "march") -> MarchTest:
             re.sub(r"\s+", "", m.group(0)), "", 1)
     if leftovers:
         raise ValueError(
-            f"unparsed fragments {leftovers!r} in march notation {text!r}")
+            f"unparsed fragments {quoted(leftovers)} in march notation "
+            f"{quoted(text)}")
     elements = tuple(
         parse_element(f"{m.group(1)}({m.group(2)})") for m in matches)
     return MarchTest(name, elements)

@@ -1,9 +1,9 @@
 """A minimal stdlib client for the qualification service.
 
-Used by the load driver (``benchmarks/bench_service.py``), the CI
-``service-smoke`` job and the test suite; also a reasonable example
-of how to talk to the API from anywhere else (it is just JSON over
-HTTP -- ``curl`` works too).
+Used by the test suite (``tests/test_service.py`` drives ``serve``
+and a concurrent duplicate load through it); also a reasonable
+example of how to talk to the API from anywhere else (it is just JSON
+over HTTP -- ``curl`` works too).
 """
 
 from __future__ import annotations

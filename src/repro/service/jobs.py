@@ -46,6 +46,7 @@ from repro.diagnosis.fleet import (
 )
 from repro.faults.backgrounds import BACKGROUND_SETS
 from repro.faults.lists import fault_list_by_label
+from repro.faults.operations import quoted
 from repro.march.known import known_march
 from repro.march.test import MarchTest, parse_march
 from repro.sim.backends import backend_names
@@ -119,7 +120,7 @@ def resolve_test(text: str) -> MarchTest:
         return test
     except ValueError as error:
         raise ValueError(
-            f"{text!r} is neither a known march test nor valid "
+            f"{quoted(text)} is neither a known march test nor valid "
             f"notation: {error}") from None
 
 

@@ -1,7 +1,7 @@
 """Shared fast-path machinery under the coverage oracles and campaigns.
 
-Three cost centres dominate batch qualification (see
-``benchmarks/bench_campaign.py``):
+Three cost centres dominate batch qualification (timed layer by layer
+by the ``qualify_sweep`` workload of ``perfbench/``):
 
 * re-enumerating cell-role placements and ``⇕`` resolutions for every
   oracle construction -- both are pure functions of tiny argument

@@ -29,10 +29,9 @@ run:
      sites (and backend-independent, like every report in this
      codebase).
 
-``repro-march bist``, the service's ``bist`` job kind, the
-``bist-smoke`` CI job and the ``--bist`` benchmark leg all run through
-:func:`verify_program`.  See ``DESIGN_bist.md`` for the argument that
-these three checks pin the whole program semantics.
+``repro-march bist`` and the service's ``bist`` job kind both run
+through :func:`verify_program`.  See ``DESIGN_bist.md`` for the
+argument that these three checks pin the whole program semantics.
 """
 
 from __future__ import annotations
@@ -360,8 +359,8 @@ def _verify_report(
     """Canonical verification-report bytes from one side's sites.
 
     Deliberately excludes the simulation backend: like every report in
-    this codebase, the bytes depend only on the workload, so the
-    bist-smoke job can ``cmp`` dense against bitpar.
+    this codebase, the bytes depend only on the workload, so a dense
+    and a bitpar verification compare byte for byte.
     """
     document = {
         "format": VERIFY_FORMAT,

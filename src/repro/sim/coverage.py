@@ -222,10 +222,12 @@ class CoverageOracle:
             §3.3).
         exhaustive_limit: bounds the run grid only
             (:func:`repro.sim.engine.signature_runs`, and through it
-            dictionaries, escape sites, ``detects_instance`` and BIST
-            verification).  :meth:`evaluate` and :meth:`detects` fork
-            every ``⇕`` element exhaustively whatever its value; it is
-            still part of the qualification store key.
+            dictionaries and BIST verification).  :meth:`evaluate`
+            and :meth:`detects`, like
+            :func:`~repro.sim.engine.detects_instance` and
+            :func:`~repro.sim.engine.escape_sites`, fork every ``⇕``
+            element exhaustively whatever its value; it is still part
+            of the qualification store key.
         lf3_layout: three-cell placement policy (``"straddle"`` default
             per the Figure 1 calibration; ``"all"`` for the strict
             superset).

@@ -149,13 +149,15 @@ def signature_runs(
 ) -> List[Run]:
     """The ordered ``(background, resolution)`` run grid of one test.
 
-    This is the run enumeration every qualification quantifies over --
-    the bit path runs once per ``⇕`` resolution, the word path once
-    per (background x resolution) pair, backgrounds outermost -- made
-    public so the diagnosis layer (:mod:`repro.diagnosis`) indexes
-    detection *signatures* by exactly the runs the oracles simulate.
-    ``background`` is ``None`` on the bit path.  The order is stable:
-    it defines the canonical run indexing of every signature.
+    The bit path runs once per ``⇕`` resolution, the word path once
+    per (background x resolution) pair, backgrounds outermost; the
+    diagnosis layer (:mod:`repro.diagnosis`) indexes detection
+    *signatures* by these runs.  Up to *exhaustive_limit* ``⇕``
+    elements the resolutions are all of them, the grid qualification
+    quantifies over; past it they are a deterministic sample
+    (:func:`repro.sim.placements.order_resolutions`).  ``background``
+    is ``None`` on the bit path.  The order is stable: it defines the
+    canonical run indexing of every signature.
     """
     any_count = sum(
         1 for el in test.elements if el.order is AddressOrder.ANY)
@@ -199,16 +201,27 @@ def run_grid(
         yield site, memory
 
 
+def _every_run(
+    test: MarchTest, backgrounds: Optional[Tuple[Background, ...]]
+) -> List[Run]:
+    """The run grid with every ``⇕`` resolution, as qualification
+    quantifies: the ``⇕`` elements never exceed the element count."""
+    return signature_runs(test, backgrounds, len(test.elements))
+
+
 def detects_instance(
     test: MarchTest,
     fault: FaultInstance,
     memory_size: int,
-    exhaustive_limit: int = 6,
     backend: str = "auto",
     width: int = 1,
     backgrounds: Optional[Tuple[Background, ...]] = None,
 ) -> bool:
     """Does *test* detect *fault* under every ``⇕`` resolution?
+
+    Every resolution runs, however many ``⇕`` elements there are, so
+    the answer agrees with qualification
+    (:func:`repro.sim.coverage.qualify_outcomes`).
 
     In word mode (*backgrounds* a resolved tuple, *memory_size* words
     of *width* bits) each background runs the march from scratch, so
@@ -221,12 +234,10 @@ def detects_instance(
         test: the march test.
         fault: a fault instance already bound to physical cells.
         memory_size: size of the simulated memory.
-        exhaustive_limit: see
-            :func:`repro.sim.placements.order_resolutions`.
         backend: simulation backend selector (see
             :func:`repro.sim.backends.backend_names`).
     """
-    runs = signature_runs(test, backgrounds, exhaustive_limit)
+    runs = _every_run(test, backgrounds)
     return any(
         all(site is not None for site, _ in run_grid(
             test, fault, memory_size, list(group), backend, width))
@@ -237,7 +248,6 @@ def escape_sites(
     test: MarchTest,
     fault: FaultInstance,
     memory_size: int,
-    exhaustive_limit: int = 6,
     backend: str = "auto",
     width: int = 1,
     backgrounds: Optional[Tuple[Background, ...]] = None,
@@ -245,10 +255,11 @@ def escape_sites(
     """Diagnostic variant of :func:`detects_instance`.
 
     Returns ``(run, site)`` for every ``(background, resolution)`` run,
-    with ``None`` on escape -- used by examples, failure analyses and
-    the differential suites to show *where* masking defeated a test.
+    every ``⇕`` resolution included, with ``None`` on escape -- used by
+    examples, failure analyses and the differential suites to show
+    *where* masking defeated a test.
     """
-    runs = signature_runs(test, backgrounds, exhaustive_limit)
+    runs = _every_run(test, backgrounds)
     return [
         (run, site) for run, (site, _) in zip(
             runs, run_grid(test, fault, memory_size, runs, backend, width))

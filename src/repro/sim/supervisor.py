@@ -41,6 +41,7 @@ import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.chaos import ChaosSpec, apply_chaos
@@ -76,12 +77,8 @@ class SupervisorPolicy:
     Args:
         timeout: per-chunk wall-clock budget in seconds (``None`` =
             unbounded; required for hang recovery).  The budget
-            covers a chunk's own execution: a chunk still queued
-            behind a busy pool has its clock restarted rather than
-            taking a timeout strike.  (One caveat: the pool
-            pre-dispatches a single queued item per run, which can
-            take a spurious strike behind a hung worker -- it is
-            simply retried.)
+            covers a chunk's own execution: its clock starts when it
+            holds a worker, never while it waits behind a busy pool.
         max_retries: pool attempts beyond the first before a chunk is
             degraded to in-process execution.
         backoff_base: first retry delay in seconds (doubled per
@@ -352,8 +349,9 @@ class Supervisor:
         in-process degradation.  *pool* may be replaced mid-loop
         (respawn); :meth:`_spawn` keeps the live one for :meth:`run`.
         """
-        # future -> [position, attempt, deadline]; the deadline slot
-        # is mutable (queued chunks get their clock restarted).
+        # future -> [position, attempt, deadline], in submission
+        # order; the deadline stays None until the chunk's clock
+        # starts (see start_clocks).
         in_flight: Dict[Any, List] = {}
 
         def submit(position: int, attempt: int) -> None:
@@ -379,10 +377,22 @@ class Supervisor:
                     # pool's in-flight futures surface as crashes on
                     # the next monitor pass.
                     pool = self._respawn(pool, "worker crash")
-            deadline = None
-            if self.policy.timeout is not None:
-                deadline = time.monotonic() + self.policy.timeout
-            in_flight[future] = [position, attempt, deadline]
+            in_flight[future] = [position, attempt, None]
+
+        def start_clocks() -> None:
+            """Start the budget of every chunk that holds a worker.
+
+            The pool runs chunks in submission order, so those are the
+            first ``workers`` in flight.  The pool also pre-dispatches
+            one more and reports it running; its wait behind the
+            chunk ahead is not charged to it.
+            """
+            if self.policy.timeout is None:
+                return
+            now = time.monotonic()
+            for record in islice(in_flight.values(), self.workers):
+                if record[2] is None:
+                    record[2] = now + self.policy.timeout
 
         def dispose(position: int, attempt: int, kind: str,
                     detail: str, cause: BaseException) -> None:
@@ -421,6 +431,7 @@ class Supervisor:
             submit(position, 0)
 
         while in_flight:
+            start_clocks()
             deadlines = [record[2] for record in in_flight.values()
                          if record[2] is not None]
             patience = None
@@ -477,9 +488,9 @@ class Supervisor:
                 if future.running():
                     expired.append(future)
                 else:
-                    # Still queued behind a busy pool -- the budget
-                    # measures the chunk's own execution, so restart
-                    # its clock instead of blaming it.
+                    # Not dispatched yet -- the budget measures the
+                    # chunk's own execution, so restart its clock
+                    # instead of blaming it.
                     record[2] = now + self.policy.timeout
             if expired:
                 # A hung worker holds its pool slot forever; replace

@@ -9,6 +9,8 @@ witness identity included) keeps the suites honest with each other and
 makes qualifying the next backend a one-liner.
 """
 
+import time
+
 import hypothesis.strategies as st
 
 from repro.faults.operations import read, wait, write
@@ -28,6 +30,21 @@ def alternative_backends():
     return tuple(
         name for name in backend_names()
         if name not in ("auto", "dense"))
+
+
+def best_seconds(call, repeats=1):
+    """The fastest wall time of *repeats* calls of *call*.
+
+    Speed-floor tests time the fast side best-of-three: host noise
+    there could fail a floor, while noise on the slow reference side
+    only widens the margin.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def report_key(report):

@@ -431,6 +431,10 @@ class TestBistCli:
             kind="bist", tests=("March C-",),
             fault_lists=("2",))).report_bytes
         assert netlist.read_bytes() == served
+        bitpar = tmp_path / "bitpar.json"
+        assert main(["bist", "March C-", "--backend", "bitpar",
+                     "--json", str(bitpar)]) == 0
+        assert bitpar.read_bytes() == served
         assert verilog.read_text().startswith("/*")
 
     def test_cli_rejects_unknown_test(self):

@@ -234,6 +234,39 @@ class TestCampaignIdentity:
 
 
 # ----------------------------------------------------------------------
+# Kernel speed floors at n >= 64
+# ----------------------------------------------------------------------
+def run_at_64(backend):
+    return CoverageCampaign(
+        known_march("March SL").test,
+        {"FL#2": FL2, "FL#1[::20]": FL1[::20]},
+        memory_sizes=(64,), backend=backend).run()
+
+
+@pytest.fixture(scope="module")
+def dense_at_64():
+    return run_at_64("dense")
+
+
+class TestKernelSpeedFloors:
+    """Sparse and bitpar beat the dense kernel at n = 64 on any core
+    count: their win is algorithmic (about 13x each on a 2-vCPU host).
+    Host noise on the single dense run only widens the margin, so the
+    kernel under test takes the best of three."""
+
+    @pytest.mark.parametrize("backend,floor",
+                             [("sparse", 1.0), ("bitpar", 2.0)])
+    def test_beats_dense(self, dense_at_64, backend, floor):
+        runs = [run_at_64(backend) for _ in range(3)]
+        for result in runs:
+            assert result.report_json() == dense_at_64.report_json()
+        fastest = min(result.wall_seconds for result in runs)
+        assert dense_at_64.wall_seconds >= floor * fastest, (
+            f"{backend} {fastest:.3f}s vs dense "
+            f"{dense_at_64.wall_seconds:.3f}s")
+
+
+# ----------------------------------------------------------------------
 # Campaign API behaviour
 # ----------------------------------------------------------------------
 class TestCampaignApi:
@@ -402,71 +435,6 @@ class TestCampaignCli:
 
         with pytest.raises(SystemExit, match="unknown march"):
             main(["campaign", "--tests", "March Bogus"])
-
-    def test_bench_campaign_gate(self, tmp_path, capsys):
-        from benchmarks.bench_campaign import main
-
-        out = tmp_path / "BENCH_campaign.json"
-        code = main(["--workload", "tiny", "--workers", "2",
-                     "--gate", "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["identical"] is True
-        assert payload["serial"]["contexts_simulated"] == \
-            payload["parallel"]["contexts_simulated"]
-        assert payload["jobs"] == 3
-
-    def test_bench_campaign_gate_fails_on_divergence(self):
-        from benchmarks.bench_campaign import gate
-
-        payload = {
-            "identical": False,
-            "speed_gate_applies": False,
-            "speedup": 2.0,
-            "min_speedup": 1.0,
-            "cpu_count": 2,
-        }
-        assert any("DIVERGE" in f for f in gate(payload))
-
-    def test_bench_campaign_gate_fails_on_slowdown(self):
-        from benchmarks.bench_campaign import gate
-
-        payload = {
-            "identical": True,
-            "speed_gate_applies": True,
-            "speedup": 0.8,
-            "min_speedup": 1.0,
-            "cpu_count": 8,
-        }
-        assert any("slower" in f for f in gate(payload))
-
-    def test_bench_campaign_gate_fails_on_word_divergence(self):
-        from benchmarks.bench_campaign import gate
-
-        payload = {
-            "identical": True,
-            "speed_gate_applies": False,
-            "speedup": 1.0,
-            "min_speedup": 1.0,
-            "cpu_count": 2,
-            "width_sweep": {"entries": [
-                {"width": 4, "identical": False},
-                {"width": 8, "identical": True},
-            ]},
-        }
-        failures = gate(payload)
-        assert any("width 4" in f for f in failures)
-        assert not any("width 8" in f for f in failures)
-
-    def test_bench_width_sweep_runs_identical(self):
-        from benchmarks.bench_campaign import run_width_sweep
-
-        payload = run_width_sweep([2])
-        entry = payload["entries"][0]
-        assert entry["width"] == 2
-        assert entry["identical"] is True
-        assert entry["dense"]["contexts_simulated"] == \
-            entry["sparse"]["contexts_simulated"]
 
 
 class TestGeneratorCampaignQualification:

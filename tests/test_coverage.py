@@ -18,6 +18,18 @@ from repro.sim.coverage import (
     make_instances,
     qualify_outcomes,
 )
+from repro.sim.engine import detects_instance, escape_sites
+
+
+def past_limit_escape():
+    """An LF2aa fault and an 8-⇕-element march that misses it under a
+    few of the 256 resolutions (qualification reports UUUUDUDU)."""
+    fault = next(f for f in fault_list_1()
+                 if f.name == "LF2aa:CFds_1w0_v0->CFst_a0_v1")
+    test = parse_march(
+        "c(w0) c(r0) c(r0) c(r0,w1) c(r1,w0,w1,w0) c(r0,w1,r1)"
+        " c(r1,w0) c(r0,w1,r1)")
+    return fault, test
 
 
 class TestMakeInstances:
@@ -76,16 +88,24 @@ class TestCoverageOracle:
     def test_detects_agrees_with_evaluate_past_exhaustive_limit(self):
         # Eight ⇕ elements, more than exhaustive_limit (6): the one
         # escaping resolution (UUUUDUDU) must not be sampled away.
-        fault = next(f for f in fault_list_1()
-                     if f.name == "LF2aa:CFds_1w0_v0->CFst_a0_v1")
-        test = parse_march(
-            "c(w0) c(r0) c(r0) c(r0,w1) c(r1,w0,w1,w0) c(r0,w1,r1)"
-            " c(r1,w0) c(r0,w1,r1)")
+        fault, test = past_limit_escape()
         oracle = CoverageOracle([fault])
         report = oracle.evaluate(test)
         assert not report.complete
         assert str(report.escapes[0]).endswith("(⇕ resolution UUUUDUDU)")
         assert not oracle.detects(test, fault)
+
+    def test_placement_queries_enumerate_every_resolution(self):
+        # The per-placement queries must not sample either: each
+        # placement escapes under 8 of the 2^8 resolutions.
+        fault, test = past_limit_escape()
+        instances = make_instances(fault, 3)
+        assert len(instances) == 4
+        for instance in instances:
+            assert not detects_instance(test, instance, 3)
+            sites = escape_sites(test, instance, 3)
+            assert len(sites) == 256
+            assert sum(site is None for _, site in sites) == 8
 
 
 class TestIncrementalCoverage:

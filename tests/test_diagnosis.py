@@ -11,6 +11,7 @@ Covers the tentpole acceptance criteria:
 """
 
 import json
+import re
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.march.known import known_march
 from repro.march.test import parse_march
 from repro.sim.coverage import signature_runs
 from repro.store import QualificationStore, signature_key
-from tests.harness import stratified
+from tests.harness import best_seconds, stratified
 
 MARCH_C = known_march("March C-").test
 MARCH_SL = known_march("March SL").test
@@ -269,11 +270,20 @@ class TestDictionaryStore:
         cold = build_dictionary(MARCH_C, FL2, store=store)
         warm = build_dictionary(MARCH_C, FL2, store=store)
         assert cold.simulated_runs > 0
+        assert cold.store_hits == 0
         assert cold.store_misses == len(FL2)
         assert warm.simulated_runs == 0
         assert warm.store_hits == len(FL2)
         assert warm.store_misses == 0
         assert cold.to_json() == warm.to_json()
+
+    def test_warm_rebuild_is_2x_faster(self):
+        store = QualificationStore()
+        cold = best_seconds(
+            lambda: build_dictionary(MARCH_C, FL2, store=store))
+        warm = best_seconds(
+            lambda: build_dictionary(MARCH_C, FL2, store=store), 3)
+        assert cold >= 2 * warm, f"warm {warm:.4f}s, cold {cold:.4f}s"
 
     def test_rows_shared_across_fault_lists(self):
         # A list containing a subset of another list's faults reuses
@@ -513,12 +523,14 @@ class TestDiagnosisCli:
     def test_dictionary_warm_store_zero_simulations(
             self, capsys, tmp_path):
         store = str(tmp_path / "diag.sqlite")
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         assert main(["dictionary", "March C-", "--fault-list", "2",
-                     "--store", store]) == 0
+                     "--store", store, "--json", str(cold)]) == 0
         capsys.readouterr()
         assert main(["dictionary", "March C-", "--fault-list", "2",
-                     "--store", store]) == 0
+                     "--store", store, "--json", str(warm)]) == 0
         assert "simulated runs: 0" in capsys.readouterr().out
+        assert cold.read_bytes() == warm.read_bytes()
 
     def test_diagnose_inject_round_trip(self, capsys):
         assert main(["diagnose", "March C-", "--fault-list", "2",
@@ -534,8 +546,15 @@ class TestDiagnosisCli:
                      "--inject", "LF1:TFU->DRDF0",
                      "--distinguish"]) == 0
         out = capsys.readouterr().out
+        assert "LF1:TFU->DRDF0" in out
         assert "distinguishing march" in out
         assert "observed class of 12 -> 6" in out
+        # The suggested march compiles to a BIST program that
+        # verifies on both simulation paths.
+        march = re.search(
+            r"^suggested distinguishing march: (.+)$", out, re.M)[1]
+        for backend in ("dense", "bitpar"):
+            assert main(["bist", march, "--backend", backend]) == 0
 
     def test_diagnose_distinguish_reports_unsplittable_class(
             self, capsys):

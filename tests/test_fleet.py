@@ -51,7 +51,7 @@ from repro.sim.supervisor import (
 )
 from repro.store import QualificationStore
 
-from harness import toy_fail_until
+from harness import best_seconds, toy_fail_until
 
 MARCH_C = known_march("March C-").test
 FL2 = fault_list_2()
@@ -296,6 +296,15 @@ class TestFleetDiagnosis:
         assert full["simulated_runs"] == 0
         assert full["store_hits"] > 0
 
+    def test_warm_rebuild_is_2x_faster(self):
+        spec = small_fleet()
+        store = QualificationStore()
+        cold = best_seconds(
+            lambda: diagnose_fleet(MARCH_C, FL2, spec, store=store))
+        warm = best_seconds(
+            lambda: diagnose_fleet(MARCH_C, FL2, spec, store=store), 3)
+        assert cold >= 2 * warm, f"warm {warm:.4f}s, cold {cold:.4f}s"
+
     def test_dictionary_sharing_across_instances(self):
         spec = small_fleet()
         report = diagnose_fleet(MARCH_C, FL2, spec)
@@ -470,13 +479,15 @@ class TestFleetCli:
         code, out = self.run_fleet(
             capsys, "--store", store, "--report-json", str(first))
         assert code == 0
+        assert "true fault in class" in out
         assert "simulated runs: 0" not in out
-        code, out = self.run_fleet(
-            capsys, "--store", store, "--workers", "4",
-            "--report-json", str(second))
-        assert code == 0
-        assert "simulated runs: 0" in out
-        assert first.read_bytes() == second.read_bytes()
+        for workers in ("1", "4"):
+            code, out = self.run_fleet(
+                capsys, "--store", store, "--workers", workers,
+                "--report-json", str(second))
+            assert code == 0
+            assert "simulated runs: 0" in out
+            assert first.read_bytes() == second.read_bytes()
 
     def test_full_json_and_verbose(self, tmp_path, capsys):
         path = tmp_path / "full.json"

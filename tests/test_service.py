@@ -234,6 +234,7 @@ class TestCoalescing:
         service.start()
         assert records[0].done.wait(timeout=120)
         service.stop()
+        assert records[0].status == "done", records[0].error
         metrics = service.metrics()
         assert metrics["jobs_submitted"] == 5
         assert metrics["jobs_coalesced"] == 4
@@ -257,6 +258,7 @@ class TestCoalescing:
         assert len({record.job_id for record in results}) == 1
         assert results[0].done.wait(timeout=120)
         service.stop()
+        assert results[0].status == "done", results[0].error
         assert service.metrics()["jobs_executed"] == 1
 
     def test_distinct_jobs_do_not_coalesce(self, tmp_path):
@@ -271,6 +273,8 @@ class TestCoalescing:
         assert first.done.wait(timeout=120)
         assert second.done.wait(timeout=120)
         service.stop()
+        for record in (first, second):
+            assert record.status == "done", record.error
         assert service.metrics()["jobs_executed"] == 2
 
     def test_warm_store_serves_with_zero_simulations(self, tmp_path):
@@ -279,6 +283,7 @@ class TestCoalescing:
         record, _ = cold.submit(dict(SMALL_JOB))
         assert record.done.wait(timeout=120)
         cold.stop()
+        assert record.status == "done", record.error
         assert record.result.store_misses > 0
 
         warm = QualificationService(store)
@@ -286,6 +291,7 @@ class TestCoalescing:
         assert not coalesced  # fresh service: new record, warm rows
         assert rerun.done.wait(timeout=120)
         warm.stop()
+        assert rerun.status == "done", rerun.error
         assert rerun.result.simulations == 0
         assert rerun.result.store_misses == 0
         assert rerun.result.store_hits > 0
@@ -311,7 +317,7 @@ class TestCoalescing:
         assert retry.job_id == failed.job_id
         assert retry.done.wait(timeout=120)
         service.stop()
-        assert retry.status == "done"
+        assert retry.status == "done", retry.error
         assert service.job(retry.job_id) is retry
         assert len(calls) == 2
 
@@ -438,6 +444,16 @@ class TestHTTP:
         assert self.client.result_bytes(
             document["id"]) == local.report_bytes
 
+    def test_bist_job_serves_the_cli_netlist(self, tmp_path):
+        netlist = tmp_path / "netlist.json"
+        assert main(["bist", "March C-", "--json", str(netlist)]) == 0
+        document = self.client.submit(
+            {"kind": "bist", "test": "March C-", "fault_list": "2"})
+        final = self.client.wait(document["id"], timeout=120)
+        assert final["status"] == "done", final
+        assert self.client.result_bytes(document["id"]) \
+            == netlist.read_bytes()
+
     def test_duplicate_post_coalesces(self):
         first = self.client.submit(dict(SMALL_JOB))
         again = self.client.submit(
@@ -454,6 +470,25 @@ class TestHTTP:
                 {"tests": ["March SL"], "fault_lists": ["zz"]})
         assert http_error.value.status == 400
         assert http_error.value.message == str(cli_error.value)
+
+    def test_huge_invalid_notation_is_a_short_400(self):
+        # The error quotes a bounded excerpt of the input, not all of
+        # it: the same text on the CLI and as the 400 body.
+        notation = " ".join(["c(w0)"] * 10_000) + " x"
+        with pytest.raises(SystemExit) as cli_error:
+            main(["dictionary", notation, "--fault-list", "2"])
+        request = urllib.request.Request(
+            self.handle.url + "/jobs", data=json.dumps(
+                {"kind": "dictionary", "test": notation,
+                 "fault_list": "2"}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST")
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request, timeout=30)
+        assert error.value.code == 400
+        body = error.value.read()
+        assert len(body) < 1024
+        assert json.loads(body)["error"] == str(cli_error.value)
 
     def test_malformed_body_is_a_400(self):
         request = urllib.request.Request(
@@ -480,6 +515,56 @@ class TestHTTP:
         stats = self.client.store_stats()
         assert "metrics" in stats
         assert stats["store"] is None or "rows" in stats["store"]
+
+
+class TestHTTPLoad:
+    def test_duplicate_load_coalesces_and_submits_stay_fast(
+            self, tmp_path):
+        # Four clients each submit four distinct jobs: the twelve
+        # duplicates coalesce onto four executions, each served byte-
+        # identical to the local runner.  A submit is validation plus
+        # hashing, never simulation, so even the slowest of the 16
+        # (their p99) stays within 500 ms.
+        documents = [{**SMALL_JOB, "sizes": [size]}
+                     for size in (3, 4, 5, 6)]
+        handle = start_service(
+            port=0, store_path=str(tmp_path / "q.sqlite"),
+            job_workers=2, rate=10_000.0, burst=10_000)
+        latencies, errors = [], []
+
+        def drive(worker):
+            client = ServiceClient(handle.url, client_id=f"c{worker}")
+            for document in documents:
+                start = time.perf_counter()
+                try:
+                    client.submit(dict(document))
+                except ServiceError as error:
+                    errors.append(error)
+                latencies.append(time.perf_counter() - start)
+
+        try:
+            threads = [threading.Thread(target=drive, args=(worker,))
+                       for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors and len(latencies) == 16
+            client = ServiceClient(handle.url, client_id="poll")
+            for document in documents:
+                spec = JobSpec.from_dict(document)
+                final = client.wait(spec.job_id, timeout=120)
+                assert final["status"] == "done", final
+                assert client.result_bytes(spec.job_id) \
+                    == JobRunner().run(spec).report_bytes
+            metrics = handle.service.metrics()
+        finally:
+            handle.stop()
+        assert metrics["jobs_executed"] == 4
+        assert metrics["jobs_coalesced"] == 12
+        assert metrics["jobs_failed"] == 0
+        assert max(latencies) <= 0.5, latencies
 
 
 class TestHTTPRateLimit:

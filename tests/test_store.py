@@ -269,6 +269,7 @@ class TestCampaignStore:
         baseline = self.campaign().run()
         cold = self.campaign(store=store).run()
         warm = self.campaign(store=store).run()
+        assert cold.store_hits == 0
         assert cold.store_misses == len(cold.entries)
         assert warm.store_hits == len(warm.entries)
         assert warm.store_misses == 0
@@ -400,7 +401,7 @@ class TestGeneratorStore:
 
 
 # ----------------------------------------------------------------------
-# CLI + benchmark driver
+# CLI
 # ----------------------------------------------------------------------
 class TestStoreCli:
     def run_cli(self, *argv):
@@ -492,65 +493,16 @@ class TestStoreCli:
         assert self.run_cli("store", "stats", str(path)) == 0
         assert path.exists()
 
-    def test_bench_store_leg_and_history_cap(self, tmp_path):
-        from benchmarks.bench_campaign import main as bench_main
-
-        out = tmp_path / "BENCH.json"
-        for _ in range(3):
-            code = bench_main([
-                "--workload", "tiny", "--workers", "2", "--gate",
-                "--store", "--history-cap", "2",
-                "--out", str(out)])
-            assert code == 0
-        payload = json.loads(out.read_text())
-        leg = payload["store"]
-        assert leg["entries"][0]["identical"] is True
-        assert leg["entries"][0]["warm_store"]["misses"] == 0
-        assert leg["entries"][0]["speedup"] > 1.0
-        history = payload["history"]
-        assert all(len(records) == 2 for records in history.values())
-        assert "workload=tiny" in history
-        assert "store size=3 width=1" in history
-
-    def test_bench_gate_fails_on_store_divergence(self):
-        from benchmarks.bench_campaign import gate
-
-        payload = {
-            "identical": True,
-            "speed_gate_applies": False,
-            "speedup": 1.0,
-            "min_speedup": 1.0,
-            "store": {
-                "min_store_speedup": 10.0,
-                "entries": [{
-                    "memory_size": 3, "width": 1,
-                    "identical": False,
-                    "cold_store": {"hits": 1},
-                    "warm_store": {"misses": 2},
-                    "speedup": 0.5,
-                }],
-            },
-        }
-        failures = gate(payload)
-        assert len(failures) == 4
-        assert any("DIVERGES" in f for f in failures)
-        assert any("not fresh" in f for f in failures)
-        assert any("missed" in f for f in failures)
-        assert any("speedup gate" in f for f in failures)
-
 
 # ----------------------------------------------------------------------
-# Acceptance criterion: warm >= 10x cold on the benchmark workload
+# Speed floor: warm >= 10x cold
 # ----------------------------------------------------------------------
 class TestWarmSpeedup:
     def test_warm_campaign_is_10x_faster_than_cold(self):
-        """The ISSUE 4 acceptance bar, scaled to the unit-test budget.
-
-        The smoke benchmark runs the same check over the full known-
-        test grid in CI (`bench_campaign.py --store`, gate >= 10x);
-        here a compact multi-test campaign must already clear the same
-        bar -- a hit is a key lookup plus JSON decode, so the margin
-        is orders of magnitude, not percents.
+        """The store's speed floor, on any machine: a hit is a key
+        lookup plus JSON decode, so the margin is orders of magnitude,
+        not percents.  ``TestCampaignStore`` pins the byte identity
+        and the hit counts.
         """
         campaign = CoverageCampaign(
             KNOWN_TESTS[:6], {"FL#2": FL2, "FL#1s": FL1[:120]},
