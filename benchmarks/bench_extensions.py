@@ -1,7 +1,6 @@
 """Extension experiments (paper Section 7's ongoing work).
 
 * order-constrained generation (all-ascending / all-descending);
-* dual-port weak faults: single-port blindness vs March d2PF;
 * dynamic fault generation and the static tests' coverage gap.
 """
 
@@ -13,15 +12,6 @@ from repro.core.generator import MarchGenerator
 from repro.faults.dynamic import dynamic_faults, dynamic_single_cell_faults
 from repro.march.element import AddressOrder
 from repro.march.known import MARCH_SL, MARCH_SS
-from repro.memory.multiport import (
-    DualPortElement,
-    DualPortMarchTest,
-    DualPortStep,
-    dual_port_coverage,
-    march_d2pf,
-    weak_faults,
-)
-from repro.faults.operations import read, write
 from repro.sim.coverage import CoverageOracle
 
 
@@ -46,40 +36,6 @@ def test_ext_order_constrained_generation(benchmark, fl2, results_dir):
             f"{100 * result.report.coverage:.1f}",
             result.test.notation()])
     emit(results_dir, "ext_order_constrained", table.render())
-
-
-def test_ext_dual_port_weak_faults(benchmark, results_dir):
-    """Single-port marches are blind to weak faults; March d2PF is not."""
-    single_port = DualPortMarchTest(
-        "March SS (single-port)",
-        (
-            DualPortElement(AddressOrder.ANY, (DualPortStep(write(0)),)),
-            DualPortElement(AddressOrder.UP, tuple(
-                DualPortStep(op) for op in (
-                    read(0), read(0), write(0), read(0), write(1)))),
-            DualPortElement(AddressOrder.UP, tuple(
-                DualPortStep(op) for op in (
-                    read(1), read(1), write(1), read(1), write(0)))),
-            DualPortElement(AddressOrder.ANY, (DualPortStep(read(0)),)),
-        ),
-    )
-
-    def evaluate_both():
-        return (
-            dual_port_coverage(single_port, weak_faults()),
-            dual_port_coverage(march_d2pf(), weak_faults()),
-        )
-
-    (sp_detected, sp_escaped), (dp_detected, dp_escaped) = \
-        benchmark(evaluate_both)
-    assert not sp_detected          # total blindness
-    assert not dp_escaped           # total coverage
-    table = TextTable(["test", "steps/cell", "weak faults detected"])
-    table.add_row([single_port.name, f"{single_port.complexity}n",
-                   f"{len(sp_detected)}/10"])
-    table.add_row([march_d2pf().name, f"{march_d2pf().complexity}n",
-                   f"{len(dp_detected)}/10"])
-    emit(results_dir, "ext_dual_port", table.render())
 
 
 def test_ext_dynamic_generation(benchmark, results_dir):

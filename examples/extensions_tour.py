@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Tour of the extensions beyond the paper's core contribution.
 
-The paper's Section 7 lists two ongoing-work directions, both built
-here, plus two more that round out an industrial flow:
+The paper's Section 7 lists two ongoing-work directions; the first is
+built here (multi-port memories are not modelled), plus two more that
+round out an industrial flow:
 
 1. **Address-order constraints** -- "March Tests with particular
    address orders (i.e., all increasing or all decreasing) can be
    implemented more efficiently": generate an all-ascending test.
-2. **Multi-port memories** -- dual-port SRAM substrate with weak
-   inter-port faults that no single-port march can sensitize.
-3. **Dynamic faults** -- two-operation sensitizations (the authors'
+2. **Dynamic faults** -- two-operation sensitizations (the authors'
    companion ETS 2005 generator targets these).
-4. **Test-program codegen** -- emit deployable C from any march test.
+3. **Test-program codegen** -- emit deployable C from any march test.
 
 Usage::
 
@@ -23,11 +22,6 @@ from repro.analysis.codegen import application_time, to_c_function
 from repro.faults.dynamic import dynamic_single_cell_faults
 from repro.faults.lists import fault_list_2
 from repro.march.element import AddressOrder
-from repro.memory.multiport import (
-    dual_port_coverage,
-    march_d2pf,
-    weak_faults,
-)
 
 
 def order_constrained_generation() -> None:
@@ -44,26 +38,9 @@ def order_constrained_generation() -> None:
     print()
 
 
-def dual_port_weak_faults() -> None:
-    print("=" * 64)
-    print("2. Dual-port memories and weak inter-port faults")
-    print("=" * 64)
-    faults = weak_faults()
-    print(f"  weak fault space: {len(faults)} primitives, e.g.:")
-    for fp in faults[:3]:
-        print(f"    {fp}")
-    test = march_d2pf()
-    detected, escaped = dual_port_coverage(test, faults)
-    print(f"  {test.describe()}")
-    print(f"  coverage: {len(detected)}/{len(faults)} "
-          f"(escaped: {[f.name for f in escaped]})")
-    assert not escaped
-    print()
-
-
 def dynamic_fault_generation() -> None:
     print("=" * 64)
-    print("3. Two-operation dynamic faults (companion work, ETS 2005)")
+    print("2. Two-operation dynamic faults (companion work, ETS 2005)")
     print("=" * 64)
     faults = dynamic_single_cell_faults()
     print(f"  target: {len(faults)} single-cell dynamic FPs, e.g. "
@@ -77,7 +54,7 @@ def dynamic_fault_generation() -> None:
 
 def code_generation() -> None:
     print("=" * 64)
-    print("4. Deployable test programs")
+    print("3. Deployable test programs")
     print("=" * 64)
     result = MarchGenerator(fault_list_2(), name="My March").generate()
     code = to_c_function(result.test)
@@ -91,7 +68,6 @@ def code_generation() -> None:
 
 def main() -> None:
     order_constrained_generation()
-    dual_port_weak_faults()
     dynamic_fault_generation()
     code_generation()
 

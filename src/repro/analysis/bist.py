@@ -20,7 +20,7 @@ subsystem's distinguishing marches -- into a :class:`BistProgram`:
 * a **data-background generator**: the word width and the resolved
   :mod:`repro.faults.backgrounds` patterns, with the standard mapping
   ``lane_value = background[lane] XOR symbol`` (the exact semantics of
-  :func:`repro.memory.word.background_targets`);
+  :func:`repro.memory.word.step_plan`);
 * a **comparator spec**: every expecting read as a
   ``(state, operation, symbol)`` triple.
 

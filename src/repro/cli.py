@@ -56,6 +56,7 @@ from repro.faults.lists import (
     lf3_faults,
     simple_static_faults,
 )
+from repro.faults.operations import quoted
 from repro.march.known import ALL_KNOWN, known_march
 from repro.march.test import parse_march
 from repro.march.wordize import wordize
@@ -144,16 +145,34 @@ def _describe_word_mode(oracle) -> None:
               f"backgrounds [{patterns}]")
 
 
+def _known(name: str):
+    """The known march called *name*; exit with one line if none is."""
+    try:
+        return known_march(name)
+    except KeyError as error:
+        raise SystemExit(error.args[0])
+
+
+def _checked_march(notation: str, name: str):
+    """Parse and consistency-check *notation*; exit with one line if
+    it is not a fault-free consistent march."""
+    try:
+        test = parse_march(notation, name=name)
+        test.check_consistency()
+    except ValueError as error:
+        raise SystemExit(f"invalid march {quoted(notation)}: {error}")
+    return test
+
+
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    km = known_march(args.test)
+    km = _known(args.test)
     oracle = _make_oracle(args, _fault_list(args.fault_list))
     _describe_word_mode(oracle)
     return _report_outcome(oracle.evaluate(km.test), args)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    test = parse_march(args.notation, name="cli march")
-    test.check_consistency()
+    test = _checked_march(args.notation, "cli march")
     oracle = _make_oracle(args, _fault_list(args.fault_list))
     if oracle.backgrounds is not None:
         wordized = wordize(test, oracle.width, oracle.backgrounds)
@@ -213,16 +232,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     # Eager selection checks keep the historical messages: --tests
     # must be *known* names (never notation), --notation must parse.
-    try:
-        for name in args.tests or ():
-            known_march(name)
-    except KeyError as error:
-        raise SystemExit(error.args[0])
+    for name in args.tests or ():
+        _known(name)
     for notation in args.notation or ():
-        try:
-            parse_march(notation, name=notation).check_consistency()
-        except ValueError as error:
-            raise SystemExit(f"invalid march {notation!r}: {error}")
+        _checked_march(notation, notation)
     tests = list(args.tests or ()) + list(args.notation or ())
     if not tests:
         # No explicit selection: qualify every known march test.

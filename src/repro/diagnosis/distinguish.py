@@ -60,7 +60,6 @@ from repro.faults.operations import write
 from repro.faults.values import Bit, flip
 from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
-from repro.memory.word import run_word_element
 from repro.sim.engine import run_element, run_grid
 
 
@@ -407,12 +406,8 @@ class DistinguishingGenerator(MarchGenerator):
             background, _resolution = runs[run_index]
             memory.load_packed(snapshot)
             memory.previous_operation = previous
-            if background is None:
-                site = run_element(
-                    element, abs_index, memory, descending)
-            else:
-                site = run_word_element(
-                    element, abs_index, memory, descending, background)
+            site = run_element(
+                element, abs_index, memory, descending, background)
             if site is not None:
                 detected[run_index] = (
                     site.element, site.operation, site.cell(self.width))

@@ -54,6 +54,7 @@ from repro.faults.linked import (
     are_linked,
     is_self_detecting,
 )
+from repro.faults.operations import quoted
 from repro.faults.primitives import FaultClass, FaultPrimitive
 
 
@@ -301,6 +302,6 @@ def fault_list_by_label(label: str) -> Tuple:
         factory = factories[label]
     except KeyError:
         raise ValueError(
-            f"unknown fault list {label!r}; "
+            f"unknown fault list {quoted(label)}; "
             f"choose from {sorted(factories)}") from None
     return tuple(factory())

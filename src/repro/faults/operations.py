@@ -152,10 +152,18 @@ QUOTE_LIMIT = 80
 def quoted(text: str) -> str:
     """``repr(text)`` for an error message, cut to
     :data:`QUOTE_LIMIT` characters plus the input's length."""
-    shown = repr(text)
+    return _cut(repr(text), len(text))
+
+
+def clipped(text: str) -> str:
+    """*text* itself for an error message, cut like :func:`quoted`."""
+    return _cut(text, len(text))
+
+
+def _cut(shown: str, length: int) -> str:
     if len(shown) <= QUOTE_LIMIT:
         return shown
-    return f"{shown[:QUOTE_LIMIT]}... ({len(text)} characters)"
+    return f"{shown[:QUOTE_LIMIT]}... ({length} characters)"
 
 
 def parse_operation(text: str) -> Operation:

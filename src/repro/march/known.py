@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.faults.operations import quoted
 from repro.march.test import MarchTest, parse_march
 
 
@@ -204,8 +205,8 @@ def known_march(name: str) -> KnownMarch:
         return ALL_KNOWN[name]
     except KeyError:
         raise KeyError(
-            f"unknown march {name!r}; available: {sorted(ALL_KNOWN)}"
-        ) from None
+            f"unknown march {quoted(name)}; available: "
+            f"{sorted(ALL_KNOWN)}") from None
 
 
 def paper_baselines() -> Tuple[KnownMarch, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.faults.operations import quoted
+from repro.faults.operations import clipped, quoted
 from repro.faults.values import DONT_CARE, CellState
 from repro.march.element import MarchElement, parse_element
 
@@ -167,13 +167,14 @@ def _check_element(
         elif op.is_read and op.value is not None:
             if value == DONT_CARE:
                 raise MarchConsistencyError(
-                    f"element {index} ({element}): read r{op.value} at "
-                    f"position {op_index} observes an uninitialized cell")
+                    f"element {index} ({clipped(str(element))}): read "
+                    f"r{op.value} at position {op_index} observes an "
+                    f"uninitialized cell")
             if value != op.value:
                 raise MarchConsistencyError(
-                    f"element {index} ({element}): read r{op.value} at "
-                    f"position {op_index} disagrees with fault-free value "
-                    f"{value}")
+                    f"element {index} ({clipped(str(element))}): read "
+                    f"r{op.value} at position {op_index} disagrees with "
+                    f"fault-free value {value}")
     return value
 
 
@@ -198,11 +199,11 @@ def parse_march(text: str, name: str = "march") -> MarchTest:
     matches = list(re.finditer(r"([^\s()]+)\s*\(([^()]*)\)", stripped))
     if not matches:
         raise ValueError(f"no march elements found in {quoted(text)}")
-    consumed = "".join(m.group(0) for m in matches)
-    leftovers = re.sub(r"\s+", "", stripped)
-    for m in matches:
-        leftovers = leftovers.replace(
-            re.sub(r"\s+", "", m.group(0)), "", 1)
+    # The text between (and around) the matched elements, in one pass.
+    starts = [0] + [m.end() for m in matches]
+    ends = [m.start() for m in matches] + [len(stripped)]
+    leftovers = re.sub(r"\s+", "", "".join(
+        stripped[start:end] for start, end in zip(starts, ends)))
     if leftovers:
         raise ValueError(
             f"unparsed fragments {quoted(leftovers)} in march notation "

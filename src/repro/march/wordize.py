@@ -8,10 +8,11 @@ symbolic values mapped through each background
 (:mod:`repro.faults.backgrounds`).
 
 A :class:`WordizedTest` is a description, not a new execution engine:
-each pass runs through the ordinary word simulation seam
-(:func:`repro.memory.word.run_word_march` and the ``width=`` /
-``backgrounds=`` parameters of the coverage oracles), so wordized
-qualification is exactly what ``qualify_test(..., width=W)`` computes.
+each pass runs through the ordinary simulation seam -- the engine's
+one runner, :func:`repro.sim.engine.run_march` with the pass's
+``background=``, and the ``width=`` / ``backgrounds=`` parameters of
+the coverage oracles -- so wordized qualification is exactly what
+``qualify_test(..., width=W)`` computes.
 """
 
 from __future__ import annotations

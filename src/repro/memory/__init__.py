@@ -8,10 +8,8 @@
   Section 4 (Definition of ``M = (Q, X, Y, delta, lambda)``);
 * :mod:`repro.memory.graph` -- the labelled digraph ``G0`` (Figure 2);
 * :mod:`repro.memory.word` -- the word-oriented substrate: W-bit words
-  over the cell-level fault model, data-background march execution and
-  the lane-sparse kernel;
-* :mod:`repro.memory.multiport` -- the dual-port substrate and weak
-  inter-port faults.
+  over the cell-level fault model, the step plan and unit visit both
+  memory models execute, and the lane-sparse kernel.
 """
 
 from repro.memory.sram import FaultyMemory
@@ -22,7 +20,6 @@ from repro.memory.word import (
     SparseWordMemory,
     WordDetectionSite,
     WordMemory,
-    run_word_march,
 )
 
 __all__ = [
@@ -35,5 +32,4 @@ __all__ = [
     "SparseWordMemory",
     "WordDetectionSite",
     "WordMemory",
-    "run_word_march",
 ]

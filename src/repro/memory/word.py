@@ -26,6 +26,13 @@ Operational semantics (the word-mode extension of DESIGN.md §3.1):
   background ``(0,)`` reduces every definition above to the bit model
   exactly -- the width-1 wordization regression pins this.
 
+That reduction is how both models execute: :func:`step_plan` compiles
+an element's operations under a background into per-lane cell steps
+(the bit path is width 1 under :data:`BIT_BACKGROUND`), and
+:func:`visit_units` applies them -- the one dense visit behind
+:func:`repro.sim.engine.run_element` and the sparse kernels' bound
+units.
+
 :class:`SparseWordMemory` is the word-mode sibling of the PR 2 sparse
 kernel: it stores every lane of the (at most three) words a fault
 binds plus one shared representative *per lane* for all other words,
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.faults.backgrounds import Background
 from repro.faults.operations import Operation, read, write
@@ -51,7 +58,6 @@ from repro.faults.values import (
     unpack_word,
 )
 from repro.march.element import AddressOrder, MarchElement
-from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import (
     FaultyMemory,
@@ -189,27 +195,39 @@ class WordMemory:
 # Background mapping
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def background_targets(
-    ops: Tuple[Operation, ...], background: Background
-) -> Tuple[Optional[Tuple[Optional[Bit], ...]], ...]:
-    """Per-operation lane targets under a data background.
+#: The bit path's data background: width 1 under ``(0,)`` is the bit
+#: model exactly, so one step plan serves both memory models.
+BIT_BACKGROUND: Background = (0,)
 
-    For each element operation: a lane tuple of written values (write),
-    expected values (read; all ``None`` for an expectation-free read),
-    or ``None`` (wait).  Symbolic value ``v`` maps to
-    ``background[lane] XOR v``.
+#: One cell step of a unit visit: ``(op_index, lane, is_write, value)``;
+#: a wait is ``(op_index, None, False, None)``.
+Step = Tuple[int, Optional[int], bool, Optional[Bit]]
+
+
+@lru_cache(maxsize=None)
+def step_plan(
+    ops: Tuple[Operation, ...], background: Optional[Background]
+) -> Tuple[Step, ...]:
+    """The cell steps one unit visit of *ops* takes under *background*.
+
+    One step per lane of every write and read, lanes ascending within
+    an operation, and one per wait (waits are whole-array and run once
+    per visit).  A write step carries the lane's written value, a read
+    step its expected value (``None`` for an expectation-free read);
+    symbolic value ``v`` maps to ``background[lane] XOR v``.
+    ``background=None`` is the bit path: width 1 under
+    :data:`BIT_BACKGROUND`.
     """
-    targets: List[Optional[Tuple[Optional[Bit], ...]]] = []
-    for op in ops:
+    pattern = BIT_BACKGROUND if background is None else background
+    steps: List[Step] = []
+    for op_index, op in enumerate(ops):
         if op.is_wait:
-            targets.append(None)
-        elif op.value is None:
-            targets.append((None,) * len(background))
-        else:
-            targets.append(
-                tuple(bit ^ op.value for bit in background))
-    return tuple(targets)
+            steps.append((op_index, None, False, None))
+            continue
+        for lane, bit in enumerate(pattern):
+            value = None if op.value is None else bit ^ op.value
+            steps.append((op_index, lane, op.is_write, value))
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -238,125 +256,47 @@ def lane_operations(
 
 #: Caches registered with :func:`repro.sim.batch.clear_caches` by
 #: :mod:`repro.sim.coverage` -- see the import note above.
-WORD_CACHES = (background_targets, lane_operations)
+WORD_CACHES = (step_plan, lane_operations)
 
 
 # ----------------------------------------------------------------------
-# Word march execution
+# The unit visit
 # ----------------------------------------------------------------------
 
-def _visit_word(
-    memory: WordMemory,
-    ops: Tuple[Operation, ...],
-    targets: Tuple[Optional[Tuple[Optional[Bit], ...]], ...],
-    address: int,
-    element_index: int,
-) -> Optional[WordDetectionSite]:
-    """Apply one element's operations to one word, lane by lane.
-
-    Shared by the dense sweep and the sparse kernel's bound-word
-    visits, so the two backends cannot drift on word semantics.
-    Returns the first mismatching read, or ``None``.
-    """
-    base = address * memory.width
-    cells = memory.cells
-    for op_index, op in enumerate(ops):
-        if op.is_wait:
-            memory.wait()
-            continue
-        target = targets[op_index]
-        if op.is_write:
-            for lane, value in enumerate(target):
-                cells.write(base + lane, value)
-        else:
-            for lane, expected in enumerate(target):
-                observed = cells.read(base + lane)
-                if expected is not None and observed in (0, 1) \
-                        and observed != expected:
-                    return WordDetectionSite(
-                        element_index, address, lane, op_index,
-                        expected, observed)
-    return None
-
-
-def run_word_element(
-    element: MarchElement,
-    element_index: int,
-    memory: WordMemory,
-    descending: bool,
-    background: Background,
-) -> Optional[WordDetectionSite]:
-    """Run one march element over a word memory under a background.
-
-    Memories providing a ``word_element_kernel`` method
-    (:class:`SparseWordMemory`) execute the element themselves in
-    O(ops x width x bound_words); everything else gets the dense
-    every-word walk.
-    """
-    kernel = getattr(memory, "word_element_kernel", None)
-    if kernel is not None:
-        return kernel(element, element_index, descending, background)
-    ops = element.operations
-    targets = background_targets(ops, background)
-    for address in element.order.addresses(memory.words, descending):
-        site = _visit_word(memory, ops, targets, address, element_index)
-        if site is not None:
-            return site
-    return None
-
-
-def run_word_march(
-    test: MarchTest,
-    memory: WordMemory,
-    background: Background,
-    resolution: Sequence[bool] = (),
-    start_element: int = 0,
-) -> Optional[WordDetectionSite]:
-    """Run one background's pass of *test* over a word memory.
-
-    Mirrors :func:`repro.sim.engine.run_march`: the resolution sequence
-    indexes ``⇕`` elements from the start of the test even when
-    *start_element* skips a prefix, and the first mismatching read ends
-    the run.
-    """
-    any_seen = 0
-    for element_index, element in enumerate(test.elements):
-        descending = False
-        if element.order is AddressOrder.ANY:
-            if any_seen < len(resolution):
-                descending = resolution[any_seen]
-            any_seen += 1
-        if element_index < start_element:
-            continue
-        site = run_word_element(
-            element, element_index, memory, descending, background)
-        if site is not None:
-            return site
-    return None
-
-
-def word_blank_snapshot(
-    instance: Optional[FaultInstance],
-    words: int,
+def visit_units(
+    cells: FaultyMemory,
     width: int,
-    backend: str,
-) -> int:
-    """The packed all-uninitialized snapshot of a word memory.
+    units: Iterable[int],
+    steps: Tuple[Step, ...],
+) -> Optional[Tuple[int, int, int, Bit, CellState]]:
+    """Apply one element's :func:`step_plan` to each of *units* in turn.
 
-    Dense memories pack the full ``words * width`` array;
-    sparse-snapshot backends (see
-    :attr:`repro.sim.backends.Backend.sparse_snapshot`) pack only the
-    bound-word lanes plus the per-lane representatives (O(width),
-    independent of the word count).
+    Unit ``u`` is the *width* cells of *cells* from ``u * width`` on
+    (one cell on the bit path).  The one dense visit of every kernel:
+    the dense walk of both memory models
+    (:func:`repro.sim.engine.run_element`), the sparse bit kernel's
+    bound cells and the lane-sparse kernel's bound words, so no two of
+    them can drift on operation semantics.
+
+    Returns ``(unit, lane, op_index, expected, observed)`` of the
+    first read observing a defined value that contradicts its
+    expectation (the field order of :class:`WordDetectionSite`), or
+    ``None``.  A read of an uninitialized cell (``'-'``) never
+    detects: physical devices return an arbitrary level.
     """
-    from repro.sim.backends import get_backend, resolve_backend
-
-    resolved = resolve_backend(backend, (instance,), words, width)
-    if get_backend(resolved).sparse_snapshot:
-        stored = len(bound_word_cells(
-            instance.cells if instance is not None else (), width))
-        return pack_word((DONT_CARE,) * (stored + width))
-    return pack_word((DONT_CARE,) * (words * width))
+    for unit in units:
+        base = unit * width
+        for op_index, lane, is_write, value in steps:
+            if is_write:
+                cells.write(base + lane, value)
+            elif lane is None:
+                cells.wait()
+            else:
+                observed = cells.read(base + lane)
+                if value is not None and observed in (0, 1) \
+                        and observed != value:
+                    return unit, lane, op_index, value, observed
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -500,35 +440,12 @@ class _LaneSparseMemory(FaultyMemory):
         self._previous = None
 
 
-class _LaneTrajectories(NamedTuple):
-    """Per-lane fault-free behaviour of a non-bound word visit."""
-
-    #: One :class:`repro.sim.sparse._RepTrajectory` per lane.
-    lanes: Tuple
-
-    def earliest_detect(self) -> Optional[Tuple[int, int, Bit, CellState]]:
-        """First mismatching read as ``(op, lane, expected, observed)``.
-
-        Lanes are independent fault-free cells, so the dense visit's
-        first failure is the lexicographic minimum over
-        ``(op_index, lane)``.
-        """
-        best: Optional[Tuple[int, int, Bit, CellState]] = None
-        for lane, trajectory in enumerate(self.lanes):
-            if trajectory.detect is None:
-                continue
-            op_index, expected, observed = trajectory.detect
-            if best is None or (op_index, lane) < (best[0], best[1]):
-                best = (op_index, lane, expected, observed)
-        return best
-
-
 class SparseWordMemory(WordMemory):
     """A :class:`WordMemory` storing bound words + one rep per lane.
 
     The cell store is a :class:`_LaneSparseMemory`, so sensitization,
     masking and settling are the inherited bit-oriented semantics; the
-    word kernel (:meth:`word_element_kernel`) collapses the address
+    word kernel (:meth:`element_kernel`) collapses the address
     sweep to the fault's bound words plus homogeneous word segments,
     replayed through memoized per-lane trajectories exactly as the PR 2
     bit kernel replays its single representative.
@@ -558,45 +475,48 @@ class SparseWordMemory(WordMemory):
     # ------------------------------------------------------------------
     # Size-independent element execution
     # ------------------------------------------------------------------
-    def word_element_kernel(
+    def element_kernel(
         self,
         element: MarchElement,
         element_index: int,
         descending: bool,
         background: Background,
     ) -> Optional[WordDetectionSite]:
-        """Run one element in O(ops x width x bound_words)."""
-        from repro.sim.sparse import _rep_trajectory
+        """Run one element in O(ops x width x bound_words).
+
+        The march engine (:func:`repro.sim.engine.run_element`)
+        dispatches here; returns the first
+        :class:`WordDetectionSite` or ``None``, exactly as the dense
+        word walk would.
+        """
+        from repro.sim.sparse import earliest_detect, lane_trajectories
 
         ops = element.operations
-        targets = background_targets(ops, background)
+        steps = step_plan(ops, background)
         down = element.order is AddressOrder.DOWN or (
             element.order is AddressOrder.ANY and descending)
         walk = self._walk_down if down else self._walk_up
         store = self.cells._cells
-        trajectories: Optional[_LaneTrajectories] = None
+        trajectories = None
         for item in walk:
             if item[0] == "b":
-                site = _visit_word(
-                    self, ops, targets, item[1], element_index)
-                if site is not None:
-                    return site
+                hit = visit_units(
+                    self.cells, self.width, (item[1],), steps)
+                if hit is not None:
+                    return WordDetectionSite(element_index, *hit)
             else:
                 _, first, last, length = item
                 if trajectories is None:
-                    trajectories = _LaneTrajectories(tuple(
-                        _rep_trajectory(
-                            lane_operations(ops, background, lane),
-                            store.reps[lane])
-                        for lane in range(self.width)))
-                detect = trajectories.earliest_detect()
+                    trajectories = lane_trajectories(
+                        ops, background, store.reps)
+                detect = earliest_detect(trajectories)
                 if detect is not None:
                     op_index, lane, expected, observed = detect
                     return WordDetectionSite(
                         element_index, first, lane, op_index,
                         expected, observed)
                 self._replay_word_visits(ops, length)
-                record = trajectories.lanes[self.width - 1].last_record
+                record = trajectories[self.width - 1].last_record
                 if record is None:
                     self.cells.previous_operation = None
                 else:
@@ -606,9 +526,7 @@ class SparseWordMemory(WordMemory):
                         last * self.width + self.width - 1)
         if trajectories is not None:
             store.reps = [
-                trajectory.final_state
-                for trajectory in trajectories.lanes
-            ]
+                trajectory.final_state for trajectory in trajectories]
         return None
 
     def _replay_word_visits(

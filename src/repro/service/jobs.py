@@ -406,7 +406,7 @@ class JobSpec:
             name = _ALIASES.get(key, key)
             if name not in known:
                 raise ValueError(
-                    f"unknown job spec field {key!r}")
+                    f"unknown job spec field {quoted(key)}")
             if name in _SEQUENCE_FIELDS:
                 if isinstance(value, (str, int)) \
                         and not isinstance(value, bool):

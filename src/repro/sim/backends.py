@@ -11,7 +11,14 @@ generator and CLI.  This module replaces that seam with a registry of
   memory through ``make_memory(memory_size, fault, width=None)``
   (``width=None`` is the bit-oriented path, an ``int`` the
   word-oriented path, even at width 1) -- so a backend is selectable
-  purely by registry name;
+  purely by registry name.  The memory is all a caller gets: the
+  march engine's two runners (:func:`repro.sim.engine.run_march` /
+  :func:`~repro.sim.engine.run_element`, ``background=None`` on the
+  bit path) call the memory's
+  ``element_kernel(element, element_index, descending, background)``
+  when it has one (sparse, bitpar) and walk it densely otherwise, so
+  which kernel runs is decided by the class this registry builds,
+  never by the caller;
 * **capability queries** -- ``"auto"`` resolution walks the registered
   backends in priority order and picks the first whose ``supports``
   predicate accepts the fault list and geometry, generalizing the old
@@ -119,10 +126,6 @@ class Backend:
             fault's bound cells plus per-lane representatives
             (O(bound) in the memory size) rather than the full array;
             the oracles use this to seed blank snapshots.
-        element_kernel: name of the whole-element kernel method the
-            backend's memories expose (``"element_kernel"`` /
-            ``"word_element_kernel"``), or ``None`` for the dense
-            every-cell walk -- metadata for tooling and docs.
         auto_priority: position in ``"auto"`` resolution (higher wins;
             ``None`` = never auto-selected, explicit opt-in only).
         auto_min_placements: smallest workload placement-context
@@ -141,7 +144,6 @@ class Backend:
     batch_granularity: str = "context"
     make_batch: Optional[Callable] = None
     sparse_snapshot: bool = False
-    element_kernel: Optional[str] = None
     auto_priority: Optional[int] = None
     auto_min_placements: Optional[int] = None
     description: str = ""
@@ -158,7 +160,6 @@ def register_backend(
     batch_granularity: str = "context",
     make_batch: Optional[Callable] = None,
     sparse_snapshot: bool = False,
-    element_kernel: Optional[str] = None,
     auto_priority: Optional[int] = None,
     auto_min_placements: Optional[int] = None,
     description: str = "",
@@ -181,7 +182,7 @@ def register_backend(
     backend = Backend(
         name=name, make_memory=make_memory, supports=supports,
         batch_granularity=batch_granularity, make_batch=make_batch,
-        sparse_snapshot=sparse_snapshot, element_kernel=element_kernel,
+        sparse_snapshot=sparse_snapshot,
         auto_priority=auto_priority,
         auto_min_placements=auto_min_placements,
         description=description)
@@ -327,7 +328,6 @@ register_backend(
     make_memory=_sparse_make_memory,
     supports=_segment_kernel_supports,
     sparse_snapshot=True,
-    element_kernel="element_kernel",
     auto_priority=10,
     description=(
         "simulate only a fault's bound cells plus one representative "
@@ -349,7 +349,6 @@ register_backend(
     batch_granularity="fault",
     make_batch=_bitpar_make_batch,
     sparse_snapshot=True,
-    element_kernel="element_kernel",
     # Outranks sparse, but only for workloads whose placement-context
     # hint fills at least one full lane word
     # (repro.sim.bitpar.MAX_LANES); callers without a placement count

@@ -46,7 +46,7 @@ from repro.faults.operations import read as _read, wait as _wait, \
     write as _write
 from repro.march.element import AddressOrder, MarchElement
 from repro.memory.sram import FaultyMemory
-from repro.memory.word import WordDetectionSite, WordMemory, run_word_march
+from repro.memory.word import WordDetectionSite, WordMemory
 from repro.sim.backends import make_memory, resolve_backend
 from repro.sim.batch import grid_instances
 from repro.sim.engine import DetectionSite, run_grid, run_march, signature_runs
@@ -81,6 +81,19 @@ class RecordingMemory(FaultyMemory):
     def wait(self) -> None:
         self.trace.append(("T",))
         super().wait()
+
+
+def _recording_memory(memory_size: int, width: Optional[int]):
+    """A golden memory recording at the cell level, and its trace.
+
+    ``width=None`` is the bit path; an ``int`` builds a word memory of
+    *memory_size* words over a recording cell store.
+    """
+    if width is None:
+        cells = RecordingMemory(memory_size)
+        return cells, cells.trace
+    cells = RecordingMemory(memory_size * width)
+    return WordMemory(memory_size, width, cells=cells), cells.trace
 
 
 class BistInterpreter:
@@ -147,63 +160,39 @@ class BistInterpreter:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_bit(
+    def run(
         self,
-        memory: FaultyMemory,
+        memory,
+        background: Optional[Background] = None,
         resolution: Sequence[bool] = (),
-    ) -> Optional[DetectionSite]:
-        """Run the program on a bit-oriented memory.
+    ):
+        """Run the program on *memory*; return the first detection site.
 
-        Mirrors :func:`repro.sim.engine.run_element`: memories with an
+        *background* is ``None`` for a bit-oriented program (*memory* a
+        :class:`FaultyMemory`) and a data background for a word-mode
+        one (*memory* a :class:`~repro.memory.word.WordMemory`), as in
+        :func:`repro.sim.engine.run_march`.  Memories with an
         ``element_kernel`` (sparse, bitpar) execute each reconstructed
-        element natively; everything else gets the dense walk, whose
-        comparator flags the first read observing a defined value that
-        contradicts its expectation.
+        element natively.  Everything else gets the interpreter's own
+        walk, written from the netlist's view and sharing no code with
+        the engine's, so the operation-grid check compares two
+        independent walks: the data generator maps each symbolic
+        value through the background (``background[lane] XOR
+        symbol``, the bit path being width 1 under ``(0,)``), and the
+        comparator checks lane by lane, in lane order, flagging the
+        first read observing a defined value that contradicts its
+        expectation.
         """
+        if (background is None) != (self.program.backgrounds is None):
+            raise ValueError(
+                "a word-mode BIST program needs a background "
+                "and a bit-oriented one none")
         kernel = getattr(memory, "element_kernel", None)
-        for state in self.program.states:
-            descending = self._descending(state, resolution)
-            if kernel is not None:
-                site = kernel(
-                    self._element(state), state.index, descending)
-                if site is not None:
-                    return site
-                continue
-            for address in self._addresses(memory.size, descending):
-                for op_index, op in enumerate(state.ops):
-                    if op.kind == "write":
-                        memory.write(address, op.value)
-                    elif op.kind == "read":
-                        observed = memory.read(address)
-                        if op.value is not None \
-                                and observed in (0, 1) \
-                                and observed != op.value:
-                            return DetectionSite(
-                                state.index, address, op_index,
-                                op.value, observed)
-                    else:
-                        memory.wait()
-        return None
-
-    def run_word(
-        self,
-        memory: WordMemory,
-        background: Background,
-        resolution: Sequence[bool] = (),
-    ) -> Optional[WordDetectionSite]:
-        """Run the program on a word memory under *background*.
-
-        Mirrors :func:`repro.memory.word._visit_word`: the data
-        generator maps the symbolic value through the background
-        (``background[lane] XOR symbol``) and the comparator checks
-        lane by lane, in lane order.  Like
-        :func:`repro.memory.word.run_word_element`, memories with a
-        ``word_element_kernel`` execute each reconstructed element
-        natively.
-        """
-        width = memory.width
-        cells = memory.cells
-        kernel = getattr(memory, "word_element_kernel", None)
+        if background is None:
+            cells, units, pattern = memory, memory.size, (0,)
+        else:
+            cells, units, pattern = memory.cells, memory.words, background
+        width = len(pattern)
         for state in self.program.states:
             descending = self._descending(state, resolution)
             if kernel is not None:
@@ -213,42 +202,30 @@ class BistInterpreter:
                 if site is not None:
                     return site
                 continue
-            for address in self._addresses(memory.words, descending):
+            for address in self._addresses(units, descending):
                 base = address * width
                 for op_index, op in enumerate(state.ops):
                     if op.kind == "wait":
-                        memory.wait()
-                    elif op.kind == "write":
-                        for lane in range(width):
-                            cells.write(
-                                base + lane,
-                                background[lane] ^ op.value)
-                    else:
-                        for lane in range(width):
-                            observed = cells.read(base + lane)
-                            if op.value is None:
-                                continue
-                            expected = background[lane] ^ op.value
-                            if observed in (0, 1) \
-                                    and observed != expected:
-                                return WordDetectionSite(
-                                    state.index, address, lane,
-                                    op_index, expected, observed)
+                        cells.wait()
+                        continue
+                    for lane, bit in enumerate(pattern):
+                        if op.kind == "write":
+                            cells.write(base + lane, bit ^ op.value)
+                            continue
+                        observed = cells.read(base + lane)
+                        if op.value is None:
+                            continue
+                        expected = bit ^ op.value
+                        if observed not in (0, 1) or observed == expected:
+                            continue
+                        if background is None:
+                            return DetectionSite(
+                                state.index, address, op_index,
+                                expected, observed)
+                        return WordDetectionSite(
+                            state.index, address, lane, op_index,
+                            expected, observed)
         return None
-
-    def run(
-        self,
-        memory,
-        background: Optional[Background] = None,
-        resolution: Sequence[bool] = (),
-    ):
-        """Dispatch on the program's word mode."""
-        if self.program.backgrounds is None:
-            return self.run_bit(memory, resolution)
-        if background is None:
-            raise ValueError(
-                "a word-mode BIST program needs a background")
-        return self.run_word(memory, background, resolution)
 
     # ------------------------------------------------------------------
     # Artifact view
@@ -415,11 +392,10 @@ def verify_program(
         A :class:`BistVerification`; ``.equivalent`` is the gate.
     """
     width = program.width
-    word_mode = program.backgrounds is not None
     grid = signature_runs(
         test, program.backgrounds, exhaustive_limit)
     interpreter = BistInterpreter(program)
-    memory_width = width if word_mode else None
+    memory_width = None if program.backgrounds is None else width
     resolved_backend = resolve_backend(
         backend, faults, memory_size, memory_width)
 
@@ -439,24 +415,10 @@ def verify_program(
     # 1. Operation grid: on a golden memory, the interpreter must
     #    issue exactly the engine's primitive-operation sequence.
     for background, resolution in grid:
-        if word_mode:
-            direct = WordMemory(
-                memory_size, width,
-                cells=RecordingMemory(memory_size * width))
-            run_word_march(test, direct, background, resolution)
-            played = WordMemory(
-                memory_size, width,
-                cells=RecordingMemory(memory_size * width))
-            interpreter.run_word(played, background, resolution)
-            direct_trace = direct.cells.trace
-            played_trace = played.cells.trace
-        else:
-            direct = RecordingMemory(memory_size)
-            run_march(test, direct, resolution)
-            played = RecordingMemory(memory_size)
-            interpreter.run_bit(played, resolution)
-            direct_trace = direct.trace
-            played_trace = played.trace
+        direct, direct_trace = _recording_memory(memory_size, memory_width)
+        run_march(test, direct, resolution, background=background)
+        played, played_trace = _recording_memory(memory_size, memory_width)
+        interpreter.run(played, background, resolution)
         verification.simulated_runs += 2
         if direct_trace != played_trace:
             for step, (want, got) in enumerate(

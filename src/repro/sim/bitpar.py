@@ -54,14 +54,18 @@ from repro.memory.sram import (
     replay_visits_with_cycle_detection,
 )
 from repro.memory.word import (
+    BIT_BACKGROUND,
     SparseWordMemory,
     WordDetectionSite,
-    background_targets,
     bound_word_cells,
-    lane_operations,
+    step_plan,
 )
 from repro.sim.batch import cached_segment_walks
-from repro.sim.sparse import SparseMemory, _rep_trajectory
+from repro.sim.sparse import (
+    SparseMemory,
+    earliest_detect,
+    lane_trajectories,
+)
 
 #: Lanes per pack: one Python int comfortably carries 64 lane bits as
 #: a machine word; larger packs would spill into multi-digit bigint
@@ -418,21 +422,22 @@ class _LanePack:
         """Run one march element across every live lane."""
         plan = self.plan
         ops = element.operations
-        targets = background_targets(ops, self.background)
+        steps = step_plan(ops, self.background)
         down = element.order is AddressOrder.DOWN or (
             element.order is AddressOrder.ANY and descending)
         walk = plan.walk_down if down else plan.walk_up
         trajectories = None
         for item in walk:
             if item[0] == "b":
-                self._visit_unit(item[1], ops, targets)
+                self._visit_unit(item[1], steps)
                 if not self.live:
                     return
             else:
                 _, first, last, length = item
                 if trajectories is None:
-                    trajectories = self._trajectories(ops)
-                detect = _earliest_detect(trajectories)
+                    trajectories = lane_trajectories(
+                        ops, self.background, self.reps)
+                detect = earliest_detect(trajectories)
                 if detect is not None:
                     # Segment units are bound in no lane: every live
                     # lane is fault-free there, shares the rep entry
@@ -464,12 +469,14 @@ class _LanePack:
         # advances exactly as each lane's own sparse walk would.
         if self.live and plan.bound_units_per_lane < plan.words:
             if trajectories is None:
-                trajectories = self._trajectories(ops)
+                trajectories = lane_trajectories(
+                    ops, self.background, self.reps)
             self.reps = [
                 trajectory.final_state for trajectory in trajectories]
 
-    def _visit_unit(self, unit: int, ops, targets) -> None:
-        """Apply one element's operations to one hot unit, op-major.
+    def _visit_unit(self, unit: int, steps) -> None:
+        """Apply one element's :func:`~repro.memory.word.step_plan` to
+        one hot unit, op-major.
 
         Lanes that do not store the unit behave fault-free: they read
         and write the shared fault-free track (``fault_free[lane]``),
@@ -477,66 +484,53 @@ class _LanePack:
         (each unit is visited once per element, so the entry value is
         the element-entry representative).
         """
-        plan = self.plan
-        width = plan.width
-        base = unit * width
+        base = unit * self.plan.width
         fault_free = list(self.reps)
-        for op_index, op in enumerate(ops):
-            if op.is_wait:
+        for op_index, mem_lane, is_write, value in steps:
+            if mem_lane is None:
                 self._apply_wait_faults()
                 self._prev_scalar = None
                 self._settle()
                 continue
-            target = targets[op_index]
-            is_write = op.is_write
-            for mem_lane in range(width):
-                address = base + mem_lane
-                value = target[mem_lane]
-                if is_write:
-                    sensitized = self._sensitized_masks(
-                        address, True, value)
-                    pre_d, pre_v = self._gather(
-                        address, fault_free[mem_lane])
-                    self._set_cell(address, value)
-                    fault_free[mem_lane] = value
-                    for prim, mask in sensitized:
-                        self._scatter(
-                            prim.victim_sources, mask, prim.fp.effect)
-                    self._prev_scalar = (OpKind.WRITE, value, address)
-                    self._prev_d, self._prev_v = pre_d, pre_v
-                    self._settle()
-                else:
-                    sensitized = self._sensitized_masks(
-                        address, False, None)
-                    pre_d, pre_v = self._gather(
-                        address, fault_free[mem_lane])
-                    obs_d, obs_v = pre_d, pre_v
-                    for prim, mask in sensitized:
-                        self._scatter(
-                            prim.victim_sources, mask, prim.fp.effect)
-                        read_out = prim.fp.read_out
-                        if read_out is not None:
-                            hit = mask & prim.victim_addr_mask.get(
-                                address, 0)
-                            if hit:
-                                obs_d |= hit
-                                if read_out:
-                                    obs_v |= hit
-                                else:
-                                    obs_v &= ~hit
-                    self._prev_scalar = (OpKind.READ, None, address)
-                    self._prev_d, self._prev_v = pre_d, pre_v
-                    self._settle()
-                    if value is not None:
-                        mismatch = (
-                            obs_d & ~obs_v if value else obs_d & obs_v)
-                        mismatch &= self.live
-                        if mismatch:
-                            self._kill(
-                                mismatch, unit, mem_lane, op_index,
-                                value, obs_v, None)
-                            if not self.live:
-                                return
+            address = base + mem_lane
+            if is_write:
+                sensitized = self._sensitized_masks(address, True, value)
+                pre_d, pre_v = self._gather(address, fault_free[mem_lane])
+                self._set_cell(address, value)
+                fault_free[mem_lane] = value
+                for prim, mask in sensitized:
+                    self._scatter(
+                        prim.victim_sources, mask, prim.fp.effect)
+                self._prev_scalar = (OpKind.WRITE, value, address)
+                self._prev_d, self._prev_v = pre_d, pre_v
+                self._settle()
+                continue
+            sensitized = self._sensitized_masks(address, False, None)
+            pre_d, pre_v = self._gather(address, fault_free[mem_lane])
+            obs_d, obs_v = pre_d, pre_v
+            for prim, mask in sensitized:
+                self._scatter(prim.victim_sources, mask, prim.fp.effect)
+                read_out = prim.fp.read_out
+                if read_out is not None:
+                    hit = mask & prim.victim_addr_mask.get(address, 0)
+                    if hit:
+                        obs_d |= hit
+                        if read_out:
+                            obs_v |= hit
+                        else:
+                            obs_v &= ~hit
+            self._prev_scalar = (OpKind.READ, None, address)
+            self._prev_d, self._prev_v = pre_d, pre_v
+            self._settle()
+            if value is not None:
+                mismatch = obs_d & ~obs_v if value else obs_d & obs_v
+                mismatch &= self.live
+                if mismatch:
+                    self._kill(
+                        mismatch, unit, mem_lane, op_index, value, obs_v,
+                        None)
+                    if not self.live:
+                        return
 
     def _kill(
         self, mask, unit, mem_lane, op_index, expected, obs_v, observed
@@ -555,16 +549,6 @@ class _LanePack:
             value = observed if obs_v is None else (obs_v >> lane) & 1
             sites[lane] = (unit, mem_lane, op_index, expected, value)
             mask ^= low
-
-    def _trajectories(self, ops):
-        """Fault-free per-mem-lane trajectories from the entry reps."""
-        reps = self.reps
-        background = self.background
-        return tuple(
-            _rep_trajectory(
-                lane_operations(ops, background, mem_lane),
-                reps[mem_lane])
-            for mem_lane in range(self.plan.width))
 
     def _replay_segment(self, ops, length: int) -> None:
         """Replay the bound-cell effects of *length* fault-free visits.
@@ -616,29 +600,6 @@ class _LanePack:
         else:
             pre_state = DONT_CARE
         return snapshot, PreviousOperation(kind, value, pre_state, address)
-
-
-def _earliest_detect(trajectories):
-    """First fault-free mismatch as ``(op, lane, expected, observed)``.
-
-    Mem-lanes are independent fault-free cells, so the dense visit's
-    first failure is the lexicographic minimum over (op_index, lane).
-    """
-    best = None
-    for lane, trajectory in enumerate(trajectories):
-        if trajectory.detect is None:
-            continue
-        op_index, expected, observed = trajectory.detect
-        if best is None or (op_index, lane) < (best[0], best[1]):
-            best = (op_index, lane, expected, observed)
-    return best
-
-
-#: Background of the bit-oriented path: width-1 word semantics under
-#: background ``(0,)`` reduce exactly to the bit model (the width-1
-#: wordization regression pins this), so the pack runs one unified
-#: width-aware kernel for both memory models.
-_BIT_BACKGROUND = (0,)
 
 
 class BitparBatch:
@@ -706,7 +667,7 @@ class BitparBatch:
         for key, members in groups.items():
             _, bg_index, prev_scalar, reps, _ = key
             background = (
-                _BIT_BACKGROUND if self.backgrounds is None
+                BIT_BACKGROUND if self.backgrounds is None
                 else self.backgrounds[bg_index])
             for start in range(0, len(members), MAX_LANES):
                 chunk = members[start:start + MAX_LANES]
@@ -735,6 +696,22 @@ class BitparBatch:
 # inherited from the sparse kernels -- only whole-element execution is
 # swapped.
 
+def _run_one_lane(plan, background, bound, reps, previous, element,
+                  descending):
+    """Run *element* through a one-lane pack from one memory's state.
+
+    Returns the lane's :meth:`_LanePack.result` and its detection
+    site (meaningful only when the result is ``None``).
+    """
+    pack = _LanePack(
+        plan, background, [tuple(bound.values())], list(reps),
+        None if previous is None
+        else (previous.kind, previous.value, previous.address),
+        [previous])
+    pack.run_element(element, descending)
+    return pack.result(0), pack.sites[0]
+
+
 class BitparMemory(SparseMemory):
     """A :class:`~repro.sim.sparse.SparseMemory` whose element kernel
     runs through a one-lane bit-parallel pack."""
@@ -743,32 +720,26 @@ class BitparMemory(SparseMemory):
         super().__init__(size, fault)
         self._bitpar_plan = _PackPlan((fault,), 1, size)
 
-    def element_kernel(self, element, element_index, descending):
+    def element_kernel(
+        self, element, element_index, descending, background
+    ):
         from repro.sim.engine import DetectionSite
 
-        cells = self._cells
-        previous = self._previous
-        pack = _LanePack(
-            self._bitpar_plan, _BIT_BACKGROUND,
-            [tuple(cells.bound.values())], [cells.rep],
-            None if previous is None
-            else (previous.kind, previous.value, previous.address),
-            [previous])
-        pack.run_element(element, descending)
-        outcome = pack.result(0)
+        outcome, site = _run_one_lane(
+            self._bitpar_plan, BIT_BACKGROUND, self._cells.bound,
+            [self._cells.rep], self._previous, element, descending)
         if outcome is None:
-            unit, _, op_index, expected, observed = pack.sites[0]
+            unit, _, op_index, expected, observed = site
             return DetectionSite(
                 element_index, unit, op_index, expected, observed)
-        snapshot, previous = outcome
-        self.load_packed(snapshot)
-        self._previous = previous
+        self.load_packed(outcome[0])
+        self._previous = outcome[1]
         return None
 
 
 class BitparWordMemory(SparseWordMemory):
-    """A :class:`~repro.memory.word.SparseWordMemory` whose word
-    element kernel runs through a one-lane bit-parallel pack."""
+    """A :class:`~repro.memory.word.SparseWordMemory` whose element
+    kernel runs through a one-lane bit-parallel pack."""
 
     def __init__(
         self,
@@ -779,25 +750,18 @@ class BitparWordMemory(SparseWordMemory):
         super().__init__(words, width, fault)
         self._bitpar_plan = _PackPlan((fault,), width, words)
 
-    def word_element_kernel(
+    def element_kernel(
         self, element, element_index, descending, background
     ):
         store = self.cells._cells
-        previous = self.cells.previous_operation
-        pack = _LanePack(
-            self._bitpar_plan, background,
-            [tuple(store.bound.values())], list(store.reps),
-            None if previous is None
-            else (previous.kind, previous.value, previous.address),
-            [previous])
-        pack.run_element(element, descending)
-        outcome = pack.result(0)
+        outcome, site = _run_one_lane(
+            self._bitpar_plan, background, store.bound, store.reps,
+            self.cells.previous_operation, element, descending)
         if outcome is None:
-            unit, mem_lane, op_index, expected, observed = pack.sites[0]
+            unit, mem_lane, op_index, expected, observed = site
             return WordDetectionSite(
                 element_index, unit, mem_lane, op_index, expected,
                 observed)
-        snapshot, previous = outcome
-        self.cells.load_packed(snapshot)
-        self.cells.previous_operation = previous
+        self.cells.load_packed(outcome[0])
+        self.cells.previous_operation = outcome[1]
         return None

@@ -27,16 +27,11 @@ from repro.faults.backgrounds import (
 )
 from repro.faults.linked import LinkedFault
 from repro.faults.primitives import FaultPrimitive
-from repro.faults.values import DONT_CARE, pack_word
 from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import FaultyMemory
-from repro.memory.word import (
-    WORD_CACHES as _ENGINE_WORD_CACHES,
-    run_word_element,
-    word_blank_snapshot,
-)
+from repro.memory.word import WORD_CACHES as _ENGINE_WORD_CACHES
 from repro.sim.backends import get_backend, resolve_backend
 from repro.sim.batch import grid_instances, register_cache
 from repro.sim.engine import run_element
@@ -459,10 +454,10 @@ class _Context:
     resolution: Tuple[bool, ...]
     snapshot: int
     previous: object = None  # PreviousOperation pairing state
-    #: Index into the oracle's background tuple (word mode); ``-1`` on
+    #: Index into the oracle's background tuple (word mode); ``0`` on
     #: the bit path.  Contexts of different backgrounds never merge --
     #: their futures run under different value mappings.
-    background: int = -1
+    background: int = 0
 
 
 #: One context's run of one element in one direction: ``None`` when
@@ -567,44 +562,28 @@ class IncrementalCoverage:
         #: ``descending -> (operations, outcome column)``; cleared by
         #: :meth:`append`.
         self._held: Dict[bool, Tuple[tuple, List[_Outcome]]] = {}
-        if self.backgrounds is not None:
-            self._init_word_contexts(instance_lists)
-            return
-        dense_blank = pack_word((DONT_CARE,) * memory_size)
+        #: The background each context runs under, by its
+        #: ``background`` index: ``(None,)`` on the bit path.
+        self._run_backgrounds = (
+            (None,) if self.backgrounds is None else self.backgrounds)
+        # Every instance forks one context per background: each
+        # background replays the whole march from a fresh memory (in
+        # word mode ``memory_size`` counts words, and placements cover
+        # both inter-word and intra-word layouts).
+        sparse = self._backend_obj.sparse_snapshot
+        dense_blank = (
+            None if sparse
+            else blank_snapshot(None, memory_size, self.width, False))
         for index, instances in enumerate(instance_lists):
             contexts = []
             for instance in instances:
-                if self._backend_obj.sparse_snapshot:
-                    blank = blank_snapshot(len(instance.cells))
-                else:
-                    blank = dense_blank
-                contexts.append(_Context(index, instance, (), blank))
-            self._pending.extend(contexts)
-            self._pending_by_fault[index] = contexts
-
-    def _init_word_contexts(self, instance_lists) -> None:
-        """Seed word-mode contexts: instances x data backgrounds.
-
-        ``memory_size`` counts words; placements cover both inter-word
-        and intra-word layouts.  Every instance forks one context per
-        background -- each background replays the whole march from a
-        fresh memory.
-        """
-        dense_blank = word_blank_snapshot(
-            None, self.memory_size, self.width, "dense")
-        for index, instances in enumerate(instance_lists):
-            contexts = []
-            for instance in instances:
-                if self._backend_obj.sparse_snapshot:
-                    blank = word_blank_snapshot(
-                        instance, self.memory_size, self.width,
-                        self.backend)
-                else:
-                    blank = dense_blank
-                for bg_index in range(len(self.backgrounds)):
-                    contexts.append(_Context(
-                        index, instance, (), blank,
-                        background=bg_index))
+                blank = (
+                    blank_snapshot(
+                        instance, memory_size, self.width, True)
+                    if sparse else dense_blank)
+                contexts.extend(
+                    _Context(index, instance, (), blank, background=bg)
+                    for bg in range(len(self._run_backgrounds)))
             self._pending.extend(contexts)
             self._pending_by_fault[index] = contexts
 
@@ -680,10 +659,8 @@ class IncrementalCoverage:
         if not contexts:
             raise KeyError(f"fault index {index} has no pending context")
         ctx = contexts[0]
-        background = (
-            None if self.backgrounds is None
-            else self.backgrounds[ctx.background])
-        return ctx.instance, ctx.resolution, background
+        return (ctx.instance, ctx.resolution,
+                self._run_backgrounds[ctx.background])
 
     def outcomes(self) -> List[QualifyOutcome]:
         """Per-fault outcomes of the march committed so far.
@@ -816,7 +793,7 @@ class IncrementalCoverage:
                 pending, element, self._element_count, directions)
             return [[outcomes[d_index] for outcomes in per_context]
                     for d_index in range(len(directions))]
-        word = self.backgrounds is not None
+        backgrounds = self._run_backgrounds
         columns: List[List[_Outcome]] = []
         for descending in directions:
             column: List[_Outcome] = []
@@ -824,14 +801,9 @@ class IncrementalCoverage:
                 memory = self._memory_for(ctx.instance)
                 memory.load_packed(ctx.snapshot)
                 memory.previous_operation = ctx.previous
-                if word:
-                    site = run_word_element(
-                        element, self._element_count, memory,
-                        descending, self.backgrounds[ctx.background])
-                else:
-                    site = run_element(
-                        element, self._element_count, memory,
-                        descending)
+                site = run_element(
+                    element, self._element_count, memory, descending,
+                    backgrounds[ctx.background])
                 column.append(
                     None if site is not None
                     else (memory.packed_state(), memory.previous_operation))

@@ -1,15 +1,21 @@
 """March-test execution against a (possibly faulty) memory.
 
-:func:`run_march` walks a march test over a :class:`FaultyMemory`
-instance, honouring address orders, and reports the first detecting
-read (detection is monotone: once a read mismatches, the device has
-failed the test).  :func:`run_grid` runs one placement over the
-canonical ``(background, resolution)`` run grid
-(:func:`signature_runs`), each run on a fresh memory; the
-per-placement questions (:func:`detects_instance`,
-:func:`escape_sites`), dictionary signatures and BIST verification are
-all built on it.  Full fault-class qualification (over placements too)
-lives in :mod:`repro.sim.coverage`.
+:func:`run_march` walks a march test over a memory, honouring
+address orders, and reports the first detecting read (detection is
+monotone: once a read mismatches, the device has failed the test).
+It and :func:`run_element` are the only runners: ``background=None``
+runs a bit-oriented :class:`FaultyMemory`, a data background a
+:class:`~repro.memory.word.WordMemory`, and the memory's own
+``element_kernel`` (sparse, bitpar) or the one dense unit visit
+(:func:`repro.memory.word.visit_units`) executes each element.
+
+:func:`run_grid` runs one placement over the canonical
+``(background, resolution)`` run grid (:func:`signature_runs`), each
+run on a fresh memory; the per-placement questions
+(:func:`detects_instance`, :func:`escape_sites`), dictionary
+signatures and BIST verification are all built on it.  Full
+fault-class qualification (over placements too) lives in
+:mod:`repro.sim.coverage`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import FaultyMemory
-from repro.memory.word import WordDetectionSite, run_word_march
+from repro.memory.word import (
+    WordDetectionSite,
+    WordMemory,
+    step_plan,
+    visit_units,
+)
 from repro.sim.backends import get_backend, resolve_backend
 from repro.sim.batch import cached_order_resolutions
 
@@ -59,12 +70,21 @@ class DetectionSite:
             f"observed {self.observed}")
 
 
+#: A memory the runners drive: bit-oriented, or word-oriented under a
+#: data background.
+Memory = Union[FaultyMemory, WordMemory]
+
+#: A run's first detection site (bit or word), ``None`` on escape.
+Site = Union[DetectionSite, WordDetectionSite, None]
+
+
 def run_march(
     test: MarchTest,
-    memory: FaultyMemory,
+    memory: Memory,
     resolution: Sequence[bool] = (),
     start_element: int = 0,
-) -> Optional[DetectionSite]:
+    background: Optional[Background] = None,
+) -> Site:
     """Run *test* on *memory*; return the first detection site, if any.
 
     Args:
@@ -77,11 +97,17 @@ def run_march(
             incremental oracle to resume from a snapshot); the
             resolution sequence still indexes ``⇕`` elements from the
             start of the test.
+        background: ``None`` on the bit path (*memory* a
+            :class:`FaultyMemory`); in word mode the data background
+            the pass runs under (*memory* a
+            :class:`~repro.memory.word.WordMemory`).
 
     Returns:
-        The first :class:`DetectionSite`, or ``None`` when the memory
-        passes the test.  A read of an uninitialized cell (``'-'``)
-        never detects: physical devices return an arbitrary level.
+        The first :class:`DetectionSite` (a
+        :class:`~repro.memory.word.WordDetectionSite` in word mode),
+        or ``None`` when the memory passes the test.  A read of an
+        uninitialized cell (``'-'``) never detects: physical devices
+        return an arbitrary level.
     """
     any_seen = 0
     for element_index, element in enumerate(test.elements):
@@ -93,7 +119,7 @@ def run_march(
         if element_index < start_element:
             continue
         site = run_element(
-            element, element_index, memory, descending)
+            element, element_index, memory, descending, background)
         if site is not None:
             return site
     return None
@@ -102,44 +128,44 @@ def run_march(
 def run_element(
     element: MarchElement,
     element_index: int,
-    memory: FaultyMemory,
+    memory: Memory,
     descending: bool,
-) -> Optional[DetectionSite]:
+    background: Optional[Background] = None,
+) -> Site:
     """Run a single march element on *memory* (mutating it).
 
     Public so the incremental coverage oracle can resume a simulation
-    from a snapshot taken after a shared march prefix.
+    from a snapshot taken after a shared march prefix.  *background*
+    is ``None`` on the bit path, as in :func:`run_march`.
 
-    Memories providing an ``element_kernel`` method (the sparse
-    backend, :class:`repro.sim.sparse.SparseMemory`) execute the whole
-    element themselves in O(ops × bound_cells); everything else gets
-    the dense every-cell walk below.
+    Memories providing an ``element_kernel`` method (the sparse and
+    bit-parallel backends) execute the whole element themselves in
+    O(ops × bound units); everything else gets the dense every-unit
+    walk below, where the bit path is the width-1 word path under
+    background ``(0,)`` (:func:`repro.memory.word.step_plan`).
     """
     kernel = getattr(memory, "element_kernel", None)
     if kernel is not None:
-        return kernel(element, element_index, descending)
-    for address in element.order.addresses(memory.size, descending):
-        for op_index, op in enumerate(element.operations):
-            if op.is_write:
-                memory.write(address, op.value)
-            elif op.is_read:
-                observed = memory.read(address)
-                if op.value is not None and observed in (0, 1) \
-                        and observed != op.value:
-                    return DetectionSite(
-                        element_index, address, op_index,
-                        op.value, observed)
-            else:
-                memory.wait()
-    return None
+        return kernel(element, element_index, descending, background)
+    steps = step_plan(element.operations, background)
+    if background is None:
+        hit = visit_units(
+            memory, 1, element.order.addresses(memory.size, descending),
+            steps)
+        if hit is None:
+            return None
+        address, _, op_index, expected, observed = hit
+        return DetectionSite(
+            element_index, address, op_index, expected, observed)
+    hit = visit_units(
+        memory.cells, memory.width,
+        element.order.addresses(memory.words, descending), steps)
+    return None if hit is None else WordDetectionSite(element_index, *hit)
 
 
 #: One run of the canonical grid: ``(background, resolution)``, with
 #: ``background`` ``None`` on the bit path.
 Run = Tuple[Optional[Background], Tuple[bool, ...]]
-
-#: A run's first detection site (bit or word), ``None`` on escape.
-GridSite = Union[DetectionSite, WordDetectionSite, None]
 
 
 def signature_runs(
@@ -176,7 +202,7 @@ def run_grid(
     runs: Sequence[Run],
     backend: str = "auto",
     width: int = 1,
-) -> Iterator[Tuple[GridSite, object]]:
+) -> Iterator[Tuple[Site, object]]:
     """Run *test* once per grid run, each on a fresh memory.
 
     Lazily yields ``(first detection site or None, memory)`` per run,
@@ -194,11 +220,8 @@ def run_grid(
         backend, (instance,), memory_size, word_width)).make_memory
     for background, resolution in runs:
         memory = make(memory_size, instance, word_width)
-        if word_width is None:
-            site = run_march(test, memory, resolution)
-        else:
-            site = run_word_march(test, memory, background, resolution)
-        yield site, memory
+        yield run_march(
+            test, memory, resolution, background=background), memory
 
 
 def _every_run(
@@ -251,7 +274,7 @@ def escape_sites(
     backend: str = "auto",
     width: int = 1,
     backgrounds: Optional[Tuple[Background, ...]] = None,
-) -> List[Tuple[Run, GridSite]]:
+) -> List[Tuple[Run, Site]]:
     """Diagnostic variant of :func:`detects_instance`.
 
     Returns ``(run, site)`` for every ``(background, resolution)`` run,

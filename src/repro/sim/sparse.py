@@ -43,8 +43,9 @@ byte-identical coverage reports against the dense oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.faults.backgrounds import Background
 from repro.faults.operations import OpKind, Operation
 from repro.faults.primitives import PreviousOperation
 from repro.faults.values import (
@@ -61,6 +62,12 @@ from repro.memory.sram import (
     partition_primitives,
     replay_visits_with_cycle_detection,
 )
+from repro.memory.word import (
+    bound_word_cells,
+    lane_operations,
+    step_plan,
+    visit_units,
+)
 from repro.sim.batch import cached_segment_walks, register_cache
 
 # Backend selection lives in the first-class registry
@@ -71,15 +78,23 @@ from repro.sim.batch import cached_segment_walks, register_cache
 # both their absence and the warning-free import of this module.
 
 
-def blank_snapshot(bound_cells: int) -> int:
-    """The packed all-uninitialized sparse snapshot.
+def blank_snapshot(
+    instance: Optional[FaultInstance], units: int, width: int, sparse: bool
+) -> int:
+    """The packed all-uninitialized snapshot of a fresh memory.
 
-    Sparse snapshots pack the bound-cell states (ascending address
-    order) followed by the shared non-bound representative -- O(1) in
-    the memory size, against the dense kernel's O(size)
-    :func:`~repro.faults.values.pack_word` of the full array.
+    The memory holds *units* units of *width* cells (width 1 on the bit
+    path).  Dense memories pack the full array, O(size); sparse-snapshot
+    memories (:attr:`repro.sim.backends.Backend.sparse_snapshot`) pack
+    every cell of the units *instance* binds (ascending address order)
+    followed by one shared representative per lane -- O(width),
+    independent of the memory size.
     """
-    return pack_word((DONT_CARE,) * (bound_cells + 1))
+    if not sparse:
+        return pack_word((DONT_CARE,) * (units * width))
+    stored = bound_word_cells(
+        instance.cells if instance is not None else (), width)
+    return pack_word((DONT_CARE,) * (len(stored) + width))
 
 
 class _RepTrajectory(NamedTuple):
@@ -130,6 +145,40 @@ def _rep_trajectory(
 
 
 register_cache(_rep_trajectory)
+
+
+def lane_trajectories(
+    ops: Tuple[Operation, ...],
+    background: Background,
+    reps: Sequence[CellState],
+) -> Tuple[_RepTrajectory, ...]:
+    """The fault-free trajectory of each lane of a non-bound unit.
+
+    Lane *k* enters from its representative ``reps[k]`` and sees the
+    element's operations under ``background[k]``; the word kernels
+    (lane-sparse and bitpar) replay homogeneous segments through these.
+    """
+    return tuple(
+        _rep_trajectory(lane_operations(ops, background, lane), rep)
+        for lane, rep in enumerate(reps))
+
+
+def earliest_detect(
+    trajectories: Sequence[_RepTrajectory],
+) -> Optional[Tuple[int, int, Bit, CellState]]:
+    """First mismatching read as ``(op, lane, expected, observed)``.
+
+    Lanes are independent fault-free cells, so the dense visit's first
+    failure is the lexicographic minimum over ``(op_index, lane)``.
+    """
+    best: Optional[Tuple[int, int, Bit, CellState]] = None
+    for lane, trajectory in enumerate(trajectories):
+        if trajectory.detect is None:
+            continue
+        op_index, expected, observed = trajectory.detect
+        if best is None or (op_index, lane) < (best[0], best[1]):
+            best = (op_index, lane, expected, observed)
+    return best
 
 
 class _SparseCells:
@@ -261,17 +310,20 @@ class SparseMemory(FaultyMemory):
         element: MarchElement,
         element_index: int,
         descending: bool,
+        background: None,
     ):
         """Run one march element in O(ops × bound_cells).
 
         The march engine (:func:`repro.sim.engine.run_element`)
-        dispatches here when the memory provides this method.  Returns
-        the first :class:`~repro.sim.engine.DetectionSite` or ``None``,
-        exactly as the dense walk would.
+        dispatches here when the memory provides this method.  A bit
+        memory runs the bit path only: *background* is ``None``.
+        Returns the first :class:`~repro.sim.engine.DetectionSite` or
+        ``None``, exactly as the dense walk would.
         """
         from repro.sim.engine import DetectionSite
 
         ops = element.operations
+        steps = step_plan(ops, background)
         # Mirror AddressOrder.addresses: fixed orders ignore the
         # resolution flag, which only resolves ``⇕`` elements.
         down = element.order is AddressOrder.DOWN or (
@@ -280,19 +332,12 @@ class SparseMemory(FaultyMemory):
         trajectory: Optional[_RepTrajectory] = None
         for item in walk:
             if item[0] == "b":
-                address = item[1]
-                for op_index, op in enumerate(ops):
-                    if op.is_write:
-                        self.write(address, op.value)
-                    elif op.is_read:
-                        observed = self.read(address)
-                        if op.value is not None and observed in (0, 1) \
-                                and observed != op.value:
-                            return DetectionSite(
-                                element_index, address, op_index,
-                                op.value, observed)
-                    else:
-                        self.wait()
+                hit = visit_units(self, 1, (item[1],), steps)
+                if hit is not None:
+                    address, _, op_index, expected, observed = hit
+                    return DetectionSite(
+                        element_index, address, op_index, expected,
+                        observed)
             else:
                 _, first, last, length = item
                 if trajectory is None:

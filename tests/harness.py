@@ -2,8 +2,8 @@
 
 Every suite that claims two execution paths are *identical* -- sparse
 kernel vs dense oracle, parallel campaign vs serial campaign, word
-memory vs bit memory, dual-port coverage across geometries -- goes
-through the helpers here instead of hand-rolling its own comparison.
+memory vs bit memory -- goes through the helpers here instead of
+hand-rolling its own comparison.
 One definition of "identical" (every observable report field,
 witness identity included) keeps the suites honest with each other and
 makes qualifying the next backend a one-liner.
@@ -113,14 +113,6 @@ def stratified(faults, count):
         return list(faults)
     step = len(faults) // count
     return list(faults[::step][:count])
-
-
-def dual_port_outcome_key(detected, escaped):
-    """Order-free form of a ``dual_port_coverage`` outcome pair."""
-    return (
-        sorted(fp.name for fp in detected),
-        sorted(fp.name for fp in escaped),
-    )
 
 
 _bits = st.integers(min_value=0, max_value=1)

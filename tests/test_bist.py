@@ -319,7 +319,7 @@ class TestInterpreter:
             parse_march("c(w0) c(r0)", name="two-any"))
         interpreter = BistInterpreter(program)
         memory = RecordingMemory(2)
-        interpreter.run_bit(memory, resolution=(True, False))
+        interpreter.run(memory, resolution=(True, False))
         # First ⇕ element descending, second ascending.
         assert memory.trace[:2] == [("W", 1, 0), ("W", 0, 0)]
         assert memory.trace[2:] == [("R", 0), ("R", 1)]

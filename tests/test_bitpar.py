@@ -261,7 +261,8 @@ class TestBatchMechanics:
             for descending, outcome in zip((False, True), per_direction):
                 memory = BitparMemory(32, ctx.instance)
                 memory.load_packed(ctx.snapshot)
-                site = memory.element_kernel(element, 0, descending)
+                site = memory.element_kernel(
+                    element, 0, descending, None)
                 if site is not None:
                     assert outcome is None
                 else:

@@ -58,8 +58,12 @@ class TestCommands:
         assert "(9n)" in capsys.readouterr().out
 
     def test_simulate_rejects_inconsistent_march(self):
-        with pytest.raises(Exception):
-            main(["simulate", "U(r1)", "--fault-list", "2"])
+        message = _one_line_exit(["simulate", "U(r1)", "--fault-list", "2"])
+        assert message.startswith("invalid march 'U(r1)': element 0")
+
+    def test_coverage_rejects_unknown_march(self):
+        message = _one_line_exit(["coverage", "No Such March"])
+        assert message.startswith("unknown march 'No Such March'")
 
     def test_generate_small_list(self, capsys):
         code = main(["generate", "--fault-list", "lf1", "--verbose",

@@ -59,7 +59,7 @@ class TestExamples:
         result = run_example("extensions_tour.py")
         assert result.returncode == 0, result.stderr
         assert "all ascending" in result.stdout
-        assert "10/10" in result.stdout or "coverage: 10" in result.stdout
+        assert "18/18 faults (100.0 %)" in result.stdout
 
     @pytest.mark.slow
     def test_validate_published(self):

@@ -10,11 +10,13 @@ distinguishing marches -- must keep reproducing them byte for byte.
 """
 
 import hashlib
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import repro.sim.engine as engine
+from harness import alternative_backends
 from repro.analysis.bist import compile_march
 from repro.diagnosis.dictionary import build_dictionary
 from repro.diagnosis.distinguish import DistinguishingGenerator
@@ -25,7 +27,7 @@ from repro.march.known import known_march
 from repro.march.test import parse_march
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import FaultyMemory
-from repro.memory.word import WordMemory, run_word_march
+from repro.memory.word import WordMemory
 from repro.sim.batch import grid_instances
 from repro.sim.bist import verify_program
 from repro.sim.engine import (
@@ -40,6 +42,8 @@ FLEET_DEMO = (
 
 MARCH_C = known_march("March C-").test
 MATS = known_march("MATS+").test
+#: Every registered backend, dense included.
+KERNELS = ("dense",) + alternative_backends()
 
 
 def sha256(text) -> str:
@@ -135,9 +139,9 @@ class TestRunGrid:
                     site for site, _ in run_grid(
                         MARCH_C, instance, 3, runs, width=2)]
                 assert sites == [
-                    run_word_march(
-                        MARCH_C, WordMemory(3, 2, instance), background,
-                        resolution)
+                    run_march(
+                        MARCH_C, WordMemory(3, 2, instance), resolution,
+                        background=background)
                     for background, resolution in runs]
 
     def test_subset_of_runs_yields_matching_sites(self):
@@ -164,17 +168,21 @@ class TestRunGrid:
             assert memory.state() == replay.state()
 
     def test_width_1_word_run_matches_bit_run(self):
+        # Every backend; at n=8 the sparse and bitpar kernels walk
+        # segments.
         bit_runs = signature_runs(MARCH_C)
         word_runs = signature_runs(MARCH_C, ((0,),))
-        for fault in fault_list_2():
-            bit = grid_instances(fault, 3)
-            word = grid_instances(fault, 3, "straddle", 1, ((0,),))
+        for backend, size, fault in product(
+                KERNELS, (3, 8), fault_list_2()):
+            bit = grid_instances(fault, size)
+            word = grid_instances(fault, size, "straddle", 1, ((0,),))
             assert [i.cells for i in bit] == [i.cells for i in word]
             for bit_instance, word_instance in zip(bit, word):
                 bit_sites = [s for s, _ in run_grid(
-                    MARCH_C, bit_instance, 3, bit_runs)]
+                    MARCH_C, bit_instance, size, bit_runs, backend)]
                 word_sites = [s for s, _ in run_grid(
-                    MARCH_C, word_instance, 3, word_runs, width=1)]
+                    MARCH_C, word_instance, size, word_runs, backend,
+                    width=1)]
                 assert _cells(bit_sites) == _cells(word_sites)
 
 
@@ -184,7 +192,7 @@ class TestDetectsInstanceIsLazy:
         walker = getattr(engine, name)
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs.get("background"))
             return walker(*args, **kwargs)
 
         monkeypatch.setattr(engine, name, counted)
@@ -203,7 +211,7 @@ class TestDetectsInstanceIsLazy:
 
     def test_word_path_skips_the_rest_of_an_escaping_background(
             self, monkeypatch):
-        calls = self._count(monkeypatch, "run_word_march")
+        calls = self._count(monkeypatch, "run_march")
         test = parse_march("c(w0) c(r0)")
         instance = grid_instances(
             fp_by_name("SF0"), 3, "straddle", 1, ((0,),))[0]
@@ -211,4 +219,4 @@ class TestDetectsInstanceIsLazy:
         # and its other three are skipped; (0,) then detects all four.
         assert detects_instance(
             test, instance, 3, width=1, backgrounds=((1,), (0,)))
-        assert [args[2] for args in calls] == [(1,)] + [(0,)] * 4
+        assert calls == [(1,)] + [(0,)] * 4

@@ -2,6 +2,7 @@
 
 import pytest
 
+from harness import best_seconds
 from repro.faults.operations import read, write
 from repro.faults.values import DONT_CARE
 from repro.march.element import AddressOrder, element
@@ -61,6 +62,19 @@ class TestNotation:
         with pytest.raises(ValueError):
             parse_march("   ")
 
+    def test_rejecting_a_stray_fragment_is_linear(self):
+        # Ten times the elements may cost about ten times the time
+        # (13-20x measured on a 2-vCPU host); stripping each matched
+        # element from the rest of the text one by one cost 112x.
+        def reject(elements):
+            text = "c(w0) " + "U(r0,w1) " * (elements - 1) + "x"
+            with pytest.raises(ValueError, match="unparsed fragments"):
+                parse_march(text)
+
+        small = best_seconds(lambda: reject(20_000), 3)
+        large = best_seconds(lambda: reject(200_000), 3)
+        assert large / small < 50
+
 
 class TestConsistency:
     def test_published_shapes_are_consistent(self):
@@ -79,6 +93,22 @@ class TestConsistency:
         with pytest.raises(MarchConsistencyError) as err:
             test.check_consistency()
         assert "disagrees" in str(err.value)
+
+    def test_huge_element_is_quoted_short(self):
+        # The error cuts the element's notation to 80 characters.
+        test = parse_march("c(w0) c(" + ",".join(["r1"] * 50_000) + ")")
+        with pytest.raises(MarchConsistencyError) as err:
+            test.check_consistency()
+        assert len(str(err.value)) < 1024
+        assert str(err.value).startswith("element 1 (⇕(r1,r1,")
+        assert "(150002 characters)" in str(err.value)
+
+    def test_short_element_is_quoted_whole(self):
+        with pytest.raises(MarchConsistencyError) as err:
+            parse_march("U(r1)").check_consistency()
+        assert str(err.value) == (
+            "element 0 (⇑(r1)): read r1 at position 0 observes an "
+            "uninitialized cell")
 
     def test_mid_element_expectations_track_writes(self):
         parse_march("c(w0) U(r0,w1,r1,w0,r0)").check_consistency()

@@ -109,6 +109,18 @@ class TestJobSpec:
                            match="unknown job spec field 'sise'"):
             JobSpec.from_dict({**SMALL_JOB, "sise": 4})
 
+    def test_huge_unknown_field_is_quoted_short(self):
+        with pytest.raises(ValueError) as error:
+            JobSpec.from_dict({**SMALL_JOB, "x" * 100_000: 4})
+        assert len(str(error.value)) < 1024
+        assert "(100000 characters)" in str(error.value)
+
+    def test_huge_unknown_fault_list_is_quoted_short(self):
+        with pytest.raises(ValueError) as error:
+            JobSpec.from_dict({**SMALL_JOB, "fault_lists": ["z" * 100_000]})
+        assert len(str(error.value)) < 1024
+        assert str(error.value).startswith("unknown fault list 'zzz")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown job kind"):
             JobSpec.from_dict({"kind": "coverage"})

@@ -226,8 +226,10 @@ class TestSparseMemory:
         fault_large = make_instances(fp_by_name("TFU"), 4096)[0]
         small = SparseMemory(8, fault_small)
         large = SparseMemory(4096, fault_large)
-        assert small.packed_state() == blank_snapshot(1)
-        assert large.packed_state() == blank_snapshot(1)
+        assert small.packed_state() == blank_snapshot(
+            fault_small, 8, 1, True)
+        assert large.packed_state() == blank_snapshot(
+            fault_large, 4096, 1, True) == small.packed_state()
         small.write(3, 1)
         # A non-bound write is element-uniform: the whole homogeneity
         # class takes the value, and the packed form stays O(1).

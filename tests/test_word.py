@@ -36,7 +36,6 @@ from repro.memory.word import (
     SparseWordMemory,
     WordMemory,
     bound_word_cells,
-    run_word_march,
 )
 from repro.sim.backends import make_memory
 from repro.sim.coverage import (
@@ -45,7 +44,7 @@ from repro.sim.coverage import (
     normalize_word_mode,
     qualify_test,
 )
-from repro.sim.engine import detects_instance, escape_sites
+from repro.sim.engine import detects_instance, escape_sites, run_march
 from repro.sim.placements import role_placements
 
 
@@ -206,15 +205,15 @@ class TestWordMemory:
         background = (0, 1, 0, 1)
         dense = WordMemory(6, 4, fault)
         sparse = SparseWordMemory(6, 4, fault)
-        assert run_word_march(test, dense, background) == \
-            run_word_march(test, sparse, background)
+        assert run_march(test, dense, background=background) == \
+            run_march(test, sparse, background=background)
         assert sparse.state() == dense.state()
 
     def test_sparse_packed_round_trip(self):
         fault = word_instances(fp_by_name("CFds_0w1_v0"), 64, 8)[0]
         memory = SparseWordMemory(64, 8, fault)
-        run_word_march(
-            parse_march("c(w0) U(r0,w1)"), memory, (0, 1) * 4)
+        run_march(
+            parse_march("c(w0) U(r0,w1)"), memory, background=(0, 1) * 4)
         packed = memory.packed_state()
         clone = SparseWordMemory(64, 8, fault)
         clone.load_packed(packed)
@@ -257,7 +256,8 @@ class TestWordMemory:
         test = parse_march("c(w0) U(r0,w1) D(r1,w0) c(r0)")
         for memory in (WordMemory(5, 4), SparseWordMemory(4096, 4)):
             for background in standard_backgrounds(4):
-                assert run_word_march(test, memory, background) is None
+                assert run_march(
+                    test, memory, background=background) is None
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +385,8 @@ class TestWordCoverageSemantics:
         instance = word_instances(fp_by_name("SF1"), 3, 4)[1]
         assert instance.cells == (3,)
         memory = WordMemory(3, 4, instance)
-        site = run_word_march(
-            parse_march("c(w1) c(r1)"), memory, (0, 0, 0, 0))
+        site = run_march(
+            parse_march("c(w1) c(r1)"), memory, background=(0, 0, 0, 0))
         assert site is not None
         assert (site.word, site.lane) == (0, 3)
         assert site.cell(4) == 3

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harness import (
+    alternative_backends,
     assert_backends_identical,
     random_marches,
     report_key,
@@ -39,6 +40,8 @@ from repro.sim.engine import escape_sites
 
 WIDTHS = (1, 4, 8)
 SIZES = (3, 16)
+#: Every registered backend, dense included.
+KERNELS = ("dense",) + alternative_backends()
 
 # A pool mixing every fault family the simulator knows: linked
 # (1/2/3-cell), state maskers, DRF and dynamic pairs.
@@ -171,7 +174,7 @@ class TestRandomizedWordDifferential:
 class TestWidthOneEquivalence:
     WORD_ONE = dict(width=1, backgrounds=((0,),))
 
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    @pytest.mark.parametrize("backend", KERNELS)
     @pytest.mark.parametrize("test_name",
                              ["March C-", "March SL", "MATS+"])
     def test_bit_identical_reports(self, test_name, backend):
@@ -214,10 +217,10 @@ class TestWidthOneEquivalence:
 
     def test_fl1_slice_contexts_identical(self):
         """Context accounting (the throughput denominator) must be
-        untouched by width-1 wordization, on both backends."""
+        untouched by width-1 wordization, on every backend."""
         faults = list(fault_list_1()[::40])
         test = known_march("March SL").test
-        for backend in ("dense", "sparse"):
+        for backend in KERNELS:
             bit = qualify_test(
                 test, faults, 5, 6, "straddle", backend)
             word = qualify_test(
