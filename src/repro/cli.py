@@ -1081,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
             "declaring many memory instances of mixed sizes, widths "
             "and lf3 layouts, build the distinct per-geometry fault "
             "dictionaries in one batched, store-backed, "
-            "chunk-resumable pass, and resolve every failing "
+            "resumable pass, and resolve every failing "
             "instance's signature to its ambiguity class.  The "
             "deterministic report (--report-json) is byte-identical "
             "across worker counts, backends and cold/warm stores; "

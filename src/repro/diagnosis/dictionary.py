@@ -36,7 +36,7 @@ from repro.faults.backgrounds import (
 )
 from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
-from repro.sim.batch import auto_chunk_size, chunked, grid_instances
+from repro.sim.batch import grid_instances
 from repro.sim.coverage import TargetFault, fault_name, normalize_word_mode
 from repro.sim.chaos import ChaosSpec, parse_chaos
 from repro.sim.engine import run_grid, signature_runs
@@ -44,12 +44,14 @@ from repro.sim.placements import DEFAULT_MEMORY_SIZE
 from repro.sim.backends import backend_names
 from repro.sim.supervisor import (
     FailureReport,
-    SupervisedTask,
-    Supervisor,
     SupervisorPolicy,
+    TaskGeometry,
+    run_keyed,
 )
 from repro.store import (
     QualificationStore,
+    canonical_notation,
+    fault_id,
     open_store,
     signature_key,
 )
@@ -124,11 +126,9 @@ def fault_signatures(
 ) -> List[Signature]:
     """One signature per canonical placement of *fault*, in order.
 
-    The worker body of the dictionary build: module-level so the
-    parallel fan-out can ship it to a process pool by qualified name
-    (mirroring :func:`repro.sim.coverage.qualify_outcomes` in the
-    campaign engine).  *backgrounds* must already be resolved
-    (``None`` = bit path).
+    The worker body of the dictionary build, called once per fault
+    (:func:`_signature_chunk`).  *backgrounds* must already be
+    resolved (``None`` = bit path).
     """
     runs = signature_runs(test, backgrounds, exhaustive_limit)
     return [
@@ -152,7 +152,8 @@ def _signature_chunk(
     width: int,
     backgrounds: Optional[Tuple[Background, ...]],
 ) -> List[List[Signature]]:
-    """Pool task: :func:`fault_signatures` over a fault chunk."""
+    """Keyed fan-out task: :func:`fault_signatures` per fault of a
+    chunk (module-level, so a process pool imports it by name)."""
     return [
         fault_signatures(
             test, fault, memory_size, exhaustive_limit, lf3_layout,
@@ -269,8 +270,8 @@ class FaultDictionary:
         self.store_hits = store_hits
         self.store_misses = store_misses
         #: Recovery log of a supervised (``workers > 1`` or chaos)
-        #: build -- ``None`` on the plain serial path, never part of
-        #: :meth:`to_dict`.
+        #: build -- ``None`` when nothing ran supervised, never part
+        #: of :meth:`to_dict`.
         self.failure_report = failure_report
         self._by_signature: Dict[Signature, List[DictionaryEntry]] = {}
         self._by_coordinates: Dict[
@@ -371,14 +372,16 @@ def build_dictionary(
     under :func:`repro.store.signature_key`: hits decode without
     simulating, misses simulate and are recorded -- a repeated build
     against a warm store performs **zero** simulations and returns a
-    byte-identical dictionary.  ``workers > 1`` fans the missing
-    faults out over a supervised process pool (deterministic result
-    either way, mirroring the campaign engine's exactness guarantee)
-    with the campaign's full recovery ladder: timeouts, retries, pool
-    respawn, per-fault store checkpoints and in-process degradation
-    (see :mod:`repro.sim.supervisor`).  *policy* tunes that ladder;
-    *chaos* (a :class:`repro.sim.chaos.ChaosSpec` or spec string)
-    injects deterministic worker failures for testing and forces the
+    byte-identical dictionary.  The missing faults run through the
+    campaign engine's keyed fan-out
+    (:func:`repro.sim.supervisor.run_keyed`), chunk by chunk, each
+    finished chunk's rows written in one store transaction: in-process
+    at ``workers=1``, and over a supervised process pool with the full
+    recovery ladder (timeouts, retries, pool respawn, in-process
+    degradation) otherwise -- a deterministic result either way.
+    *policy* tunes that ladder; *chaos* (a
+    :class:`repro.sim.chaos.ChaosSpec` or spec string) injects
+    deterministic worker failures for testing and forces the
     supervised path even at ``workers=1``.
 
     Raises:
@@ -410,12 +413,12 @@ def build_dictionaries(
 ) -> List[FaultDictionary]:
     """Build one fault dictionary per :data:`Geometry`, as one batch.
 
-    The fleet workhorse: every geometry's signature rows are
-    prefetched from *store* in one bulk query
-    (:meth:`repro.store.QualificationStore.get_many`) and all missing
-    ``(geometry, fault)`` rows share one supervised fan-out, so twenty
-    heterogeneous memories cost one pool spin-up and one recovery
-    ladder instead of twenty.  Duplicate geometries (after word-mode
+    The fleet workhorse: every ``(geometry, fault)`` signature row goes
+    through one :func:`repro.sim.supervisor.run_keyed` call -- one bulk
+    store prefetch (:meth:`repro.store.QualificationStore.get_many`)
+    and one fan-out of the missing rows, so twenty heterogeneous
+    memories cost one pool spin-up and one recovery ladder instead of
+    twenty.  Duplicate geometries (after word-mode
     normalization) are built once and returned per input position.
     Each returned dictionary is byte-identical to a separate
     :func:`build_dictionary` call with the same parameters -- the
@@ -436,23 +439,11 @@ def build_dictionaries(
         raise ValueError("geometries must not be empty")
     if isinstance(chaos, str):
         chaos = parse_chaos(chaos)
-    normalized: List[
-        Tuple[int, int, Optional[Tuple[Background, ...]], str]] = []
-    for memory_size, width, backgrounds, lf3_layout in geometries:
-        norm_width, resolved = normalize_word_mode(width, backgrounds)
-        normalized.append(
-            (memory_size, norm_width, resolved, lf3_layout))
-    unique: List[
-        Tuple[int, int, Optional[Tuple[Background, ...]], str]] = []
-    index_of: Dict[
-        Tuple[int, int, Optional[Tuple[Background, ...]], str],
-        int] = {}
-    mapping: List[int] = []
-    for geometry in normalized:
-        if geometry not in index_of:
-            index_of[geometry] = len(unique)
-            unique.append(geometry)
-        mapping.append(index_of[geometry])
+    normalized = [
+        (memory_size, *normalize_word_mode(width, backgrounds),
+         lf3_layout)
+        for memory_size, width, backgrounds, lf3_layout in geometries]
+    unique = list(dict.fromkeys(normalized))
     # A store opened here from a bare path is ours to close (the WAL
     # checkpoints into the main file); a caller-provided store object
     # stays open for the caller's next build.
@@ -460,13 +451,13 @@ def build_dictionaries(
         and not isinstance(store, QualificationStore)
     store = open_store(store)
     try:
-        built = _build_dictionaries(
+        built = dict(zip(unique, _build_dictionaries(
             test, list(faults), unique, exhaustive_limit, backend,
-            store, workers, policy, chaos)
+            store, workers, policy, chaos)))
     finally:
         if owns_store:
             store.close()
-    return [built[position] for position in mapping]
+    return [built[geometry] for geometry in normalized]
 
 
 def _build_dictionaries(
@@ -481,169 +472,71 @@ def _build_dictionaries(
     policy: Optional[SupervisorPolicy],
     chaos: Optional[ChaosSpec],
 ) -> List[FaultDictionary]:
-    run_counts = [
-        len(signature_runs(test, resolved, exhaustive_limit))
-        for _, _, resolved, _ in geometries]
-    per_geometry: List[Dict[int, List[Signature]]] = [
-        {} for _ in geometries]
-    hits = [0] * len(geometries)
-    misses = [0] * len(geometries)
-    pending: List[Tuple[int, int, Optional[str]]] = []
+    # Single-geometry labels keep the historical format so resume logs
+    # stay greppable; fleet builds tag the geometry position.
+    multi = len(geometries) > 1
+    groups = [
+        TaskGeometry(
+            f"{test.name} g{position} signatures" if multi
+            else f"{test.name} signatures",
+            test, memory_size, exhaustive_limit, lf3_layout, width,
+            resolved)
+        for position, (memory_size, width, resolved, lf3_layout)
+        in enumerate(geometries)]
+    run_counts = {
+        geometry: len(signature_runs(
+            test, geometry.backgrounds, exhaustive_limit))
+        for geometry in groups}
+    items = [(geometry, fault) for geometry in groups for fault in faults]
+    keys = None
     if store is not None:
+        notation = canonical_notation(test)
+        fault_keys = [fault_id(fault) for fault in faults]
         keys = [
-            [signature_key(
-                test, fault, memory_size, exhaustive_limit,
-                lf3_layout, width, resolved)
-             for fault in faults]
-            for memory_size, width, resolved, lf3_layout in geometries]
-        payloads = store.get_many(
-            [key for geometry_keys in keys for key in geometry_keys])
-        for position, geometry in enumerate(geometries):
-            memory_size, width, resolved, lf3_layout = geometry
-            for index, fault in enumerate(faults):
-                payload = payloads.get(keys[position][index])
-                if payload is None:
-                    misses[position] += 1
-                    pending.append(
-                        (position, index, keys[position][index]))
-                    continue
-                instances = grid_instances(
-                    fault, memory_size, lf3_layout, width, resolved)
-                per_geometry[position][index] = decode_signatures(
-                    payload, len(instances), run_counts[position])
-                hits[position] += 1
-    else:
-        pending = [
-            (position, index, None)
-            for position in range(len(geometries))
-            for index in range(len(faults))]
-    simulated = [0] * len(geometries)
-    failure_report = None
-    if pending and workers == 1 and chaos is None:
-        # Serial path, recorded incrementally: an interrupted build
-        # leaves every finished fault's row in the store.
-        for position, index, key in pending:
-            memory_size, width, resolved, lf3_layout = \
-                geometries[position]
-            signatures = fault_signatures(
-                test, faults[index], memory_size, exhaustive_limit,
-                lf3_layout, backend, width, resolved)
-            per_geometry[position][index] = signatures
-            simulated[position] += \
-                len(signatures) * run_counts[position]
-            if store is not None:
-                store.put(key, encode_signatures(signatures))
-    elif pending:
-        failure_report = _build_supervised(
-            test, faults, pending, geometries, exhaustive_limit,
-            backend, store, workers, policy, chaos, per_geometry,
-            run_counts, simulated)
+            signature_key(
+                test, fault, geometry.memory_size, exhaustive_limit,
+                geometry.lf3_layout, geometry.width, geometry.backgrounds,
+                fault_key=fault_key, march_key=notation)
+            for geometry in groups
+            for fault, fault_key in zip(faults, fault_keys)]
+
+    def decode(geometry: TaskGeometry, fault, payload) -> list:
+        instances = grid_instances(
+            fault, geometry.memory_size, geometry.lf3_layout,
+            geometry.width, geometry.backgrounds)
+        return decode_signatures(
+            payload, len(instances), run_counts[geometry])
+
+    results, simulated, failure_report = run_keyed(
+        _signature_chunk, items, keys, store=store,
+        encode=lambda _geometry, _fault, row: encode_signatures(row),
+        decode=decode, backend=backend, workers=workers,
+        policy=policy, chaos=chaos)
     dictionaries: List[FaultDictionary] = []
-    for position, geometry in enumerate(geometries):
-        memory_size, width, resolved, lf3_layout = geometry
+    for position, geometry in enumerate(groups):
+        block = slice(position * len(faults), (position + 1) * len(faults))
         entries: List[DictionaryEntry] = []
-        for index, fault in enumerate(faults):
+        runs = 0
+        for index, (fault, signatures, fresh) in enumerate(zip(
+                faults, results[block], simulated[block])):
             instances = grid_instances(
-                fault, memory_size, lf3_layout, width, resolved)
-            for instance_index, (instance, signature) in enumerate(
-                    zip(instances, per_geometry[position][index])):
-                entries.append(DictionaryEntry(
-                    index, instance_index, fault, instance,
-                    signature))
+                fault, geometry.memory_size, geometry.lf3_layout,
+                geometry.width, geometry.backgrounds)
+            entries += [
+                DictionaryEntry(
+                    index, instance_index, fault, instance, signature)
+                for instance_index, (instance, signature)
+                in enumerate(zip(instances, signatures))]
+            if fresh:
+                runs += len(signatures) * run_counts[geometry]
+        misses = 0 if store is None else sum(simulated[block])
         dictionaries.append(FaultDictionary(
-            test, faults, memory_size, exhaustive_limit, lf3_layout,
-            width, resolved, entries,
-            simulated_runs=simulated[position],
-            store_hits=hits[position],
-            store_misses=misses[position],
+            test, faults, geometry.memory_size, exhaustive_limit,
+            geometry.lf3_layout, geometry.width, geometry.backgrounds,
+            entries,
+            simulated_runs=runs,
+            store_hits=0 if store is None else len(faults) - misses,
+            store_misses=misses,
             failure_report=failure_report,
         ))
     return dictionaries
-
-
-def _build_supervised(
-    test: MarchTest,
-    faults: Sequence[TargetFault],
-    pending: Sequence[Tuple[int, int, Optional[str]]],
-    geometries: Sequence[
-        Tuple[int, int, Optional[Tuple[Background, ...]], str]],
-    exhaustive_limit: int,
-    backend: str,
-    store: Optional[QualificationStore],
-    workers: int,
-    policy: Optional[SupervisorPolicy],
-    chaos: Optional[ChaosSpec],
-    per_geometry: List[Dict[int, List[Signature]]],
-    run_counts: Sequence[int],
-    simulated: List[int],
-) -> FailureReport:
-    """Fan fault chunks out under the supervisor, merge in order.
-
-    Fills *per_geometry* and *simulated* in place and returns the
-    recovery log.  A chunk never spans geometries (its worker args fix
-    one geometry), but every geometry's chunks run under the same
-    supervisor and pool.  Completed chunks checkpoint their faults'
-    signature rows the moment they land (the rows are per fault
-    already, so chunk-level resume needs no extra keys), and
-    kernel-implicating failures degrade a chunk to the dense
-    reference backend -- signatures are backend-independent, so
-    degradation cannot change the dictionary.
-    """
-    by_geometry: Dict[
-        int, List[Tuple[int, Optional[str]]]] = {}
-    for position, index, key in pending:
-        by_geometry.setdefault(position, []).append((index, key))
-    multi = len(geometries) > 1
-    tasks = []
-    for position in sorted(by_geometry):
-        geometry_pending = by_geometry[position]
-        memory_size, width, resolved, lf3_layout = \
-            geometries[position]
-        size = auto_chunk_size(len(geometry_pending), workers)
-        chunks = list(chunked(geometry_pending, size))
-        # Single-geometry labels match the historical format so resume
-        # logs stay greppable; fleet builds tag the geometry position.
-        prefix = (f"{test.name} g{position} signatures" if multi
-                  else f"{test.name} signatures")
-        for index, chunk in enumerate(chunks):
-            chunk_faults = [faults[fi] for fi, _ in chunk]
-            args = (test, chunk_faults, memory_size,
-                    exhaustive_limit, lf3_layout, backend, width,
-                    resolved)
-            fallback = None
-            if backend != "dense":
-                fallback = args[:5] + ("dense",) + args[6:]
-            tasks.append(SupervisedTask(
-                label=f"{prefix} chunk {index + 1}/{len(chunks)}",
-                fn=_signature_chunk,
-                args=args,
-                fallback_args=fallback,
-                context=(position, chunk),
-            ))
-
-    failure_report = FailureReport()
-
-    def checkpoint(task: SupervisedTask, result) -> None:
-        if store is None:
-            return
-        _, chunk = task.context
-        for (_, key), signatures in zip(chunk, result):
-            store.put(key, encode_signatures(signatures))
-            failure_report.chunk_checkpoints += 1
-
-    supervisor = Supervisor(
-        workers, policy, chaos=chaos, report=failure_report)
-    if store is not None and chaos is not None:
-        store.inject_lock_chaos(chaos.lock_plan())
-    try:
-        results = supervisor.run(tasks, on_complete=checkpoint)
-    finally:
-        if store is not None and chaos is not None:
-            store.inject_lock_chaos(None)
-    for task, chunk_results in zip(tasks, results):
-        position, chunk = task.context
-        for (index, _), signatures in zip(chunk, chunk_results):
-            per_geometry[position][index] = signatures
-            simulated[position] += \
-                len(signatures) * run_counts[position]
-    return failure_report

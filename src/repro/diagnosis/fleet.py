@@ -11,7 +11,8 @@ dictionary lookups: two instances with the same
 dictionary, so a twenty-instance fleet typically needs only a handful
 of dictionary builds, all batched through
 :func:`repro.diagnosis.dictionary.build_dictionaries` (one store
-prefetch, one supervised fan-out, chunk-resumable).
+prefetch and one fan-out, the keyed work queue campaigns share, that
+checkpoints each fault's row and so resumes under any worker count).
 
 The module models the fleet (:class:`FleetInstance` /
 :class:`FleetSpec`, loadable from JSON or TOML), runs the diagnosis
@@ -491,7 +492,7 @@ def diagnose_fleet(
 
     Builds the distinct per-geometry dictionaries in one batch
     (:func:`repro.diagnosis.dictionary.build_dictionaries`: bulk store
-    prefetch, shared supervised fan-out, chunk-resumable), then
+    prefetch, one shared fan-out, a row checkpointed per fault), then
     resolves each failing instance's demultiplexed signature to its
     ambiguity class.  The injected faults are simulated through the
     same dictionaries being diagnosed against, so the observed

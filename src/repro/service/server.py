@@ -155,7 +155,8 @@ class QualificationService:
         sim_workers: cap on any job's process fan-out (clients ask
             via ``workers`` in the spec; the service clamps).
         backend / timeout / chaos: defaults merged into submissions
-            that do not set them.
+            that do not set them.  Without a *chaos* default, a
+            submission that sets ``chaos`` is invalid (400).
         autostart: start the worker threads immediately (tests pass
             ``False`` to inspect queue behavior deterministically).
     """
@@ -235,14 +236,20 @@ class QualificationService:
             thread.start()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Drain running jobs and stop the workers.
+        """Drain running jobs, fail queued ones, stop the workers.
 
-        Jobs still *queued* stay queued (their clients keep seeing
-        ``"queued"``); jobs already running finish and complete their
-        records before the worker exits.
+        Jobs already running finish and complete their records before
+        the worker exits.  Each job still *queued* fails with a
+        one-line error and frees its key, exactly like a job that
+        failed running, so no client waits on it forever.
         """
         with self._ready:
             self._stopping = True
+            for _, _, record in self._heap:
+                self._fail(record, "service stopped before the job ran")
+                record.finished_at = time.time()
+                record.done.set()
+            self._heap.clear()
             self._ready.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
@@ -253,6 +260,13 @@ class QualificationService:
     def _apply_defaults(self, data: dict) -> JobSpec:
         if not isinstance(data, dict):
             raise ValueError("job spec must be a JSON object")
+        # chaos stays out of the job key, so a client's spec would
+        # disturb every client coalesced onto its job.
+        if data.get("chaos") is not None \
+                and self.defaults["chaos"] is None:
+            raise ValueError(
+                "'chaos' is accepted only by a service started with "
+                "--chaos")
         merged = dict(data)
         for name, value in self.defaults.items():
             if value is not None and name not in merged:
@@ -397,6 +411,19 @@ class QualificationService:
             if store is not None:
                 store.close()
 
+    def _fail(self, record: JobRecord, error: str) -> None:
+        """Mark *record* failed; the caller holds ``self._ready``.
+
+        Frees the key so a resubmission retries instead of coalescing
+        onto the failure; the retry (same id) replaces the record in
+        ``_by_id``.
+        """
+        record.error = error
+        record.status = "failed"
+        self._metrics["jobs_failed"] += 1
+        if self._by_key.get(record.key) is record:
+            del self._by_key[record.key]
+
     def _execute(self, record: JobRecord) -> None:
         try:
             runner = JobRunner(
@@ -405,14 +432,7 @@ class QualificationService:
             outcome = runner.run(record.spec)
         except Exception as error:  # noqa: BLE001 -- job isolation
             with self._ready:
-                record.error = f"{type(error).__name__}: {error}"
-                record.status = "failed"
-                self._metrics["jobs_failed"] += 1
-                # Free the key so a resubmission retries instead of
-                # coalescing onto the failure; the retry (same id)
-                # replaces the record in _by_id.
-                if self._by_key.get(record.key) is record:
-                    del self._by_key[record.key]
+                self._fail(record, f"{type(error).__name__}: {error}")
         else:
             with self._ready:
                 record.result = outcome

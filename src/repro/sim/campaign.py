@@ -11,23 +11,25 @@ Guarantees:
 
 * **determinism** -- results come back in job order (tests × lists ×
   sizes × layouts) regardless of worker count or completion order;
-* **exactness** -- per-fault outcomes are independent of how a fault
-  list is partitioned, so a ``workers=N`` campaign reports exactly
-  what the serial oracle reports; ``workers=1`` *is* the serial path
-  (:func:`repro.sim.coverage.qualify_test`, no pool, no chunking).
+* **exactness** -- per-fault outcomes and context counts are
+  independent of how a fault list is partitioned
+  (:func:`repro.sim.coverage.fault_outcomes`), so every worker count
+  reports exactly what :func:`repro.sim.coverage.qualify_test` does.
 
-The work unit shipped to a worker is one ``(job, fault-chunk)`` pair;
-chunking is by fault (:func:`repro.sim.batch.auto_chunk_size`) so a
-single huge list still spreads across the pool.
-
-Parallel execution is supervised (:mod:`repro.sim.supervisor`):
-chunks get wall-clock timeouts, bounded retries, pool respawn on
-worker crashes, incremental chunk-level store checkpoints, and a
-degradation ladder down to in-process serial execution -- with every
-recovery recorded in :attr:`CampaignResult.failure_report`.  The
-chaos harness (:mod:`repro.sim.chaos`, ``--chaos`` on the CLI)
-injects worker failures deterministically to prove recovered runs
-byte-identical to the undisturbed serial oracle.
+A job that misses its store row qualifies its faults through the one
+keyed fan-out of campaigns, dictionaries and fleets
+(:func:`repro.sim.supervisor.run_keyed`): chunks of faults
+(:func:`repro.sim.batch.auto_chunk_size`, so a single huge list still
+spreads across the pool) run in-process at ``workers=1`` and under
+the supervisor otherwise -- wall-clock timeouts, bounded retries,
+pool respawn on worker crashes and a degradation ladder down to
+in-process execution, every recovery recorded in
+:attr:`CampaignResult.failure_report`.  With a store, each finished
+chunk checkpoints one row per fault, so a resume under any worker
+count replays every finished fault.  The chaos harness
+(:mod:`repro.sim.chaos`, ``--chaos`` on the CLI) injects worker
+failures deterministically to prove recovered runs byte-identical to
+the undisturbed serial oracle.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ from repro.faults.backgrounds import (
     background_str,
 )
 from repro.march.test import MarchTest
-from repro.sim.batch import auto_chunk_size, chunked
 from repro.sim.coverage import (
     CoverageReport,
     QualifyOutcome,
     TargetFault,
+    fault_outcomes,
     normalize_word_mode,
-    qualify_outcomes,
     report_from_outcomes,
 )
 from repro.sim.chaos import ChaosSpec, parse_chaos
@@ -57,12 +58,13 @@ from repro.sim.placements import DEFAULT_MEMORY_SIZE, LF3_LAYOUTS
 from repro.sim.backends import backend_names
 from repro.sim.supervisor import (
     FailureReport,
-    SupervisedTask,
-    Supervisor,
     SupervisorPolicy,
+    TaskGeometry,
+    run_keyed,
 )
 from repro.store import (
     QualificationStore,
+    canonical_notation,
     decode_outcomes,
     encode_outcomes,
     fault_list_id,
@@ -149,22 +151,24 @@ class CampaignResult:
     entries: List[CampaignEntry] = field(default_factory=list)
     workers: int = 1
     wall_seconds: float = 0.0
-    #: Jobs served from the qualification store without simulating /
-    #: jobs that had to simulate (both 0 when no store was attached).
+    #: Jobs served from their job row / jobs that missed it (both 0
+    #: when no store was attached).  A missed job may still replay
+    #: every fault from its fault rows.
     store_hits: int = 0
     store_misses: int = 0
-    #: Contexts simulated by *this* run.  Store hits replay their
-    #: stored context counts into :attr:`contexts_simulated` (the
-    #: report is byte-identical either way), so a fully warm run
-    #: reports 0 here -- the number the service's coalescing and
-    #: zero-simulation guarantees are audited against.
+    #: Contexts simulated by *this* run: the stored context counts of
+    #: replayed jobs and faults go into :attr:`contexts_simulated`
+    #: (the report is byte-identical either way), not here, so a
+    #: fully warm run or resume reports 0 -- the number the service's
+    #: coalescing and zero-simulation guarantees are audited against.
     contexts_executed: int = 0
     #: The ``(index, count)`` shard this result covers (``None`` for a
     #: full, unsharded run).
     shard: Optional[Tuple[int, int]] = None
-    #: Recovery log of the supervised execution path (``None`` on the
-    #: plain serial path).  Timing/recovery bookkeeping only -- never
-    #: part of :meth:`report_dict`, so byte-identity is untouched.
+    #: Recovery log of a supervised run (``None`` when nothing ran
+    #: supervised: ``workers=1`` without chaos, or nothing to
+    #: simulate).  Recovery bookkeeping only -- never part of
+    #: :meth:`report_dict`, so byte-identity is untouched.
     failure_report: Optional[FailureReport] = None
 
     def __iter__(self):
@@ -202,6 +206,7 @@ class CampaignResult:
             "contexts_per_second": self.contexts_per_second,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
+            "contexts_executed": self.contexts_executed,
             "shard": None if self.shard is None else list(self.shard),
             "failure_report": (
                 None if self.failure_report is None
@@ -262,14 +267,10 @@ class CampaignResult:
         if self.store_hits or self.store_misses:
             text += (
                 f"; store: {self.store_hits} hit(s), "
-                f"{self.store_misses} miss(es)")
-        if self.failure_report is not None:
-            if self.failure_report.chunk_hits:
-                text += (
-                    f"; {self.failure_report.chunk_hits} "
-                    f"chunk(s) resumed")
-            if self.failure_report:
-                text += f"; {self.failure_report.summary()}"
+                f"{self.store_misses} miss(es), "
+                f"{self.contexts_executed} context(s) executed")
+        if self.failure_report:
+            text += f"; {self.failure_report.summary()}"
         return text
 
 
@@ -283,13 +284,13 @@ class CoverageCampaign:
         memory_sizes: simulated memory sizes to sweep.
         lf3_layouts: three-cell placement policies to sweep (see
             :data:`repro.sim.placements.LF3_LAYOUTS`).
-        workers: process count.  ``1`` (default) runs today's serial
-            oracle path in-process -- no pool, no chunking; ``N > 1``
-            fans fault chunks out over a process pool with results
-            merged back in deterministic job order.
+        workers: process count.  ``1`` (default) runs the fault
+            chunks in-process, in order; ``N > 1`` fans them out over
+            a supervised process pool.  Results merge back in
+            deterministic job order either way.
         exhaustive_limit: ``⇕`` resolution threshold for the oracle.
-        chunk_size: faults per pool task (default: sized so each
-            worker gets roughly four chunks per job).
+        chunk_size: faults per task (default: sized so each worker
+            gets roughly four chunks of a job's unstored faults).
         backend: simulation backend selector (``"auto"`` or any name
             from :func:`repro.sim.backends.backend_names`).  Reports
             are byte-identical across backends -- the sparse and
@@ -309,13 +310,16 @@ class CoverageCampaign:
             path).  Jobs whose content address is already stored skip
             simulation entirely -- their reports are reconstructed
             from the stored outcomes and are byte-identical to a live
-            run; misses simulate (serially or across the pool) and are
-            recorded, which is also how an interrupted campaign
-            resumes: re-running the same campaign against the same
-            store only simulates the missing cells.
+            run.  A missed job replays each fault's stored row (the
+            row of a one-fault list, shared with any campaign that
+            carries the fault at that geometry) and simulates the
+            rest, checkpointing one row per fault as each chunk
+            finishes and its job row last.  That is also how an
+            interrupted campaign resumes, under any worker count:
+            only the faults without a row simulate.
         timeout: per-chunk wall-clock budget in seconds for supervised
             (pool) execution; a chunk past its budget is retried on a
-            fresh pool.  Ignored on the plain serial path.
+            fresh pool.  Ignored when chunks run in-process.
         policy: full :class:`repro.sim.supervisor.SupervisorPolicy`
             (retry counts, backoff, degradation thresholds); *timeout*
             overrides the policy's own when both are given.
@@ -440,6 +444,7 @@ class CoverageCampaign:
                 label: fault_list_id(faults)
                 for label, faults in self.fault_lists.items()
             })
+        self._fault_ids: Dict[str, List[str]] = {}
 
     def jobs(self) -> List[CampaignJob]:
         """The campaign's work units, in deterministic result order."""
@@ -473,203 +478,107 @@ class CoverageCampaign:
         """Execute every job; see the class docstring for guarantees."""
         start = perf_counter()
         jobs = self.shard_jobs()
-        reports: Dict[int, CoverageReport] = {}
-        pending: List[Tuple[int, CampaignJob, Optional[str]]] = []
-        hits = misses = 0
-        if self.store is None:
-            pending = [(position, job, None)
-                       for position, job in enumerate(jobs)]
-        else:
-            for position, job in enumerate(jobs):
-                key = self._job_key(job)
+        #: Per job position: ``(outcomes, contexts_simulated)``.
+        qualified: Dict[int, Tuple[List[QualifyOutcome], int]] = {}
+        pending: List[Tuple[int, Optional[str]]] = []
+        # A job that misses its row qualifies its faults as keyed
+        # items, each stored as a one-fault list's qualification row.
+        items: List[Tuple[TaskGeometry, TargetFault]] = []
+        keys: Optional[List[str]] = None if self.store is None else []
+        for position, job in enumerate(jobs):
+            key = payload = None
+            if self.store is not None:
+                key = qualification_key(
+                    job.test, self.fault_lists[job.fault_list],
+                    job.memory_size, self.exhaustive_limit,
+                    job.lf3_layout, job.width, job.backgrounds,
+                    fault_list_key=self._fault_keys[job.fault_list])
                 payload = self.store.get(key)
-                if payload is not None:
-                    reports[position] = self._served(job, payload)
-                    hits += 1
-                else:
-                    pending.append((position, job, key))
-                    misses += 1
-        failure_report: Optional[FailureReport] = None
-        if not pending:
-            pass
-        elif self.workers == 1 and self.chaos is None:
-            # Serial oracle path: record each job as it completes so
-            # an interrupted run leaves every finished job in the
-            # store (the CLI drains on KeyboardInterrupt).
-            for position, job, key in pending:
-                outcomes, contexts = self._qualify_serial(job)
-                reports[position] = self._record(
-                    job, key, outcomes, contexts)
-        else:
-            failure_report = self._run_supervised(pending, reports)
+            if payload is not None:
+                qualified[position] = decode_outcomes(
+                    payload, self.fault_lists[job.fault_list],
+                    job.memory_size, job.width, job.backgrounds,
+                    job.lf3_layout)
+                continue
+            pending.append((position, key))
+            geometry = TaskGeometry(
+                job.describe(), job.test, job.memory_size,
+                self.exhaustive_limit, job.lf3_layout, job.width,
+                job.backgrounds)
+            items += [(geometry, fault)
+                      for fault in self.fault_lists[job.fault_list]]
+            if keys is not None:
+                keys += self._fault_row_keys(job)
+        rows, simulated, failure_report = run_keyed(
+            fault_outcomes, items, keys, store=self.store,
+            encode=_encode_row, decode=_decode_row,
+            backend=self.backend, workers=self.workers,
+            policy=self.policy, chaos=self.chaos,
+            chunk_size=self.chunk_size)
+        cursor = 0
+        for position, key in pending:
+            job = jobs[position]
+            faults = self.fault_lists[job.fault_list]
+            job_rows = rows[cursor:cursor + len(faults)]
+            cursor += len(faults)
+            outcomes = [outcome for outcome, _ in job_rows]
+            contexts = sum(count for _, count in job_rows)
+            if key is not None:
+                self.store.put(key, encode_outcomes(
+                    outcomes, contexts, faults, job.memory_size,
+                    job.width, job.backgrounds, job.lf3_layout))
+            qualified[position] = (outcomes, contexts)
+        misses = 0 if self.store is None else len(pending)
         return CampaignResult(
             entries=[
-                CampaignEntry(job, reports[position])
+                CampaignEntry(job, report_from_outcomes(
+                    job.test.name, self.fault_lists[job.fault_list],
+                    *qualified[position]))
                 for position, job in enumerate(jobs)
             ],
             workers=self.workers,
             wall_seconds=perf_counter() - start,
-            store_hits=hits,
+            store_hits=0 if self.store is None else len(jobs) - misses,
             store_misses=misses,
             contexts_executed=sum(
-                reports[position].contexts_simulated
-                for position, _job, _key in pending),
+                count for (_, count), fresh in zip(rows, simulated)
+                if fresh),
             shard=self.shard,
             failure_report=failure_report,
         )
 
-    # ------------------------------------------------------------------
-    # Execution paths
-    # ------------------------------------------------------------------
-    def _job_key(self, job: CampaignJob) -> str:
-        """Content address of *job* (see :mod:`repro.store.keys`)."""
-        return qualification_key(
-            job.test, self.fault_lists[job.fault_list],
-            job.memory_size, self.exhaustive_limit, job.lf3_layout,
-            job.width, job.backgrounds,
-            fault_list_key=self._fault_keys[job.fault_list])
-
-    def _served(self, job: CampaignJob, payload: dict) -> CoverageReport:
-        """Reconstruct a byte-identical report from a store hit."""
+    def _fault_row_keys(self, job: CampaignJob) -> List[str]:
+        """*job*'s per-fault row keys: each a one-fault list's key."""
         faults = self.fault_lists[job.fault_list]
-        outcomes, contexts = decode_outcomes(
-            payload, faults, job.memory_size, job.width,
-            job.backgrounds, job.lf3_layout)
-        return report_from_outcomes(
-            job.test.name, faults, outcomes, contexts)
+        if job.fault_list not in self._fault_ids:
+            self._fault_ids[job.fault_list] = [
+                fault_list_id([fault]) for fault in faults]
+        notation = canonical_notation(job.test)
+        return [
+            qualification_key(
+                job.test, [fault], job.memory_size,
+                self.exhaustive_limit, job.lf3_layout, job.width,
+                job.backgrounds, fault_list_key=fault_key,
+                march_key=notation)
+            for fault, fault_key in zip(
+                faults, self._fault_ids[job.fault_list])]
 
-    def _qualify_serial(
-        self, job: CampaignJob
-    ) -> Tuple[List[QualifyOutcome], int]:
-        return qualify_outcomes(
-            job.test,
-            self.fault_lists[job.fault_list],
-            job.memory_size,
-            self.exhaustive_limit,
-            job.lf3_layout,
-            self.backend,
-            job.width,
-            job.backgrounds,
-        )
 
-    def _record(
-        self,
-        job: CampaignJob,
-        key: Optional[str],
-        outcomes: List[QualifyOutcome],
-        contexts: int,
-    ) -> CoverageReport:
-        """Persist a completed job (when a store is attached) and
-        build its report."""
-        faults = self.fault_lists[job.fault_list]
-        if self.store is not None and key is not None:
-            self.store.put(key, encode_outcomes(
-                outcomes, contexts, faults, job.memory_size,
-                job.width, job.backgrounds, job.lf3_layout))
-        return report_from_outcomes(
-            job.test.name, faults, outcomes, contexts)
+def _encode_row(
+    geometry: TaskGeometry, fault: TargetFault,
+    row: Tuple[QualifyOutcome, int],
+) -> dict:
+    """A fault's store row: its one-fault qualification payload."""
+    outcome, contexts = row
+    return encode_outcomes(
+        [outcome], contexts, [fault], geometry.memory_size,
+        geometry.width, geometry.backgrounds, geometry.lf3_layout)
 
-    def _chunk_args(self, job: CampaignJob, chunk, backend: str):
-        return (job.test, chunk, job.memory_size,
-                self.exhaustive_limit, job.lf3_layout, backend,
-                job.width, job.backgrounds)
 
-    def _run_supervised(
-        self,
-        pending: List[Tuple[int, CampaignJob, Optional[str]]],
-        reports: Dict[int, CoverageReport],
-    ) -> FailureReport:
-        """Fan fault chunks out under the supervisor, merge in order.
-
-        Each ``(job, fault-chunk)`` pair becomes one supervised task
-        (qualify_outcomes is module-level in repro.sim.coverage, so
-        worker processes import it by qualified name).  When a store
-        is attached, every completed chunk is checkpointed under its
-        own content address the moment it lands -- a chunk of faults
-        is just a smaller fault list, so no schema is needed -- and a
-        re-run of an interrupted campaign resumes at chunk
-        granularity with zero re-simulation.  Kernel-implicating
-        failures degrade the chunk to the dense reference backend
-        (reports are byte-identical across backends, so degradation
-        cannot change the result).
-        """
-        failure_report = FailureReport()
-        tasks: List[SupervisedTask] = []
-        # Per pending job: chunk slots, each either ("hit", outcomes,
-        # contexts) served from a checkpoint or ("task", index) to be
-        # filled from the supervisor's result list.
-        slots: List[List[Tuple]] = []
-        for position, job, key in pending:
-            faults = self.fault_lists[job.fault_list]
-            size = self.chunk_size or auto_chunk_size(
-                len(faults), self.workers)
-            chunks = list(chunked(faults, size))
-            job_slots: List[Tuple] = []
-            for index, chunk in enumerate(chunks):
-                chunk_key = None
-                if self.store is not None:
-                    # A single-chunk job's chunk IS the job: its key
-                    # was already probed (and missed) above.
-                    if len(chunks) == 1:
-                        chunk_key = key
-                    else:
-                        chunk_key = qualification_key(
-                            job.test, chunk, job.memory_size,
-                            self.exhaustive_limit, job.lf3_layout,
-                            job.width, job.backgrounds)
-                        payload = self.store.get(chunk_key)
-                        if payload is not None:
-                            job_slots.append(("hit",) + decode_outcomes(
-                                payload, chunk, job.memory_size,
-                                job.width, job.backgrounds,
-                                job.lf3_layout))
-                            failure_report.chunk_hits += 1
-                            continue
-                label = (f"{job.describe()} "
-                         f"chunk {index + 1}/{len(chunks)}")
-                fallback = None
-                if self.backend != "dense":
-                    fallback = self._chunk_args(job, chunk, "dense")
-                job_slots.append(("task", len(tasks)))
-                tasks.append(SupervisedTask(
-                    label=label,
-                    fn=qualify_outcomes,
-                    args=self._chunk_args(job, chunk, self.backend),
-                    fallback_args=fallback,
-                    context=(chunk, chunk_key, job),
-                ))
-            slots.append(job_slots)
-
-        def checkpoint(task: SupervisedTask, result) -> None:
-            chunk, chunk_key, job = task.context
-            if self.store is None or chunk_key is None:
-                return
-            outcomes, contexts = result
-            self.store.put(chunk_key, encode_outcomes(
-                outcomes, contexts, chunk, job.memory_size,
-                job.width, job.backgrounds, job.lf3_layout))
-            failure_report.chunk_checkpoints += 1
-
-        supervisor = Supervisor(
-            self.workers, self.policy, chaos=self.chaos,
-            report=failure_report)
-        if self.store is not None and self.chaos is not None:
-            self.store.inject_lock_chaos(self.chaos.lock_plan())
-        try:
-            results = supervisor.run(tasks, on_complete=checkpoint)
-        finally:
-            if self.store is not None and self.chaos is not None:
-                self.store.inject_lock_chaos(None)
-        for (position, job, key), job_slots in zip(pending, slots):
-            outcomes: List[QualifyOutcome] = []
-            contexts = 0
-            for slot in job_slots:
-                if slot[0] == "hit":
-                    chunk_outcomes, chunk_contexts = slot[1], slot[2]
-                else:
-                    chunk_outcomes, chunk_contexts = results[slot[1]]
-                outcomes.extend(chunk_outcomes)
-                contexts += chunk_contexts
-            reports[position] = self._record(
-                job, key, outcomes, contexts)
-        return failure_report
+def _decode_row(
+    geometry: TaskGeometry, fault: TargetFault, payload: dict,
+) -> Tuple[QualifyOutcome, int]:
+    outcomes, contexts = decode_outcomes(
+        payload, [fault], geometry.memory_size, geometry.width,
+        geometry.backgrounds, geometry.lf3_layout)
+    return outcomes[0], contexts

@@ -336,24 +336,53 @@ def qualify_outcomes(
 ) -> Tuple[List[QualifyOutcome], int]:
     """Per-fault outcomes of qualifying *test*, in fault-list order.
 
-    The single source of truth for qualification semantics: both the
+    The single source of truth for qualification semantics: the
     serial report (:func:`qualify_test`, backing
-    :meth:`CoverageOracle.evaluate`) and every campaign worker chunk
-    are assembled from these outcomes.  Classification is by fault
-    *index*, never name, so two distinct faults sharing a name cannot
-    mask each other and per-fault outcomes are independent of how the
-    list is partitioned -- which is what makes the parallel fan-out
-    exact.
+    :meth:`CoverageOracle.evaluate`) and every campaign chunk
+    (:func:`fault_outcomes`) are assembled from these outcomes.
+    Classification is by fault *index*, never name, so two distinct
+    faults sharing a name cannot mask each other and per-fault
+    outcomes are independent of how the list is partitioned -- which
+    is what makes the parallel fan-out exact.
 
     Returns:
         ``(outcomes, contexts_simulated)`` with one outcome per fault.
     """
+    rows = fault_outcomes(
+        test, faults, memory_size, exhaustive_limit, lf3_layout,
+        backend, width, backgrounds)
+    return ([outcome for outcome, _ in rows],
+            sum(contexts for _, contexts in rows))
+
+
+def fault_outcomes(
+    test: MarchTest,
+    faults: Sequence[TargetFault],
+    memory_size: int = DEFAULT_MEMORY_SIZE,
+    exhaustive_limit: int = 6,
+    lf3_layout: str = "straddle",
+    backend: str = "auto",
+    width: int = 1,
+    backgrounds: Optional[BackgroundsSpec] = None,
+) -> List[Tuple[QualifyOutcome, int]]:
+    """:func:`qualify_outcomes` split per fault: ``(outcome, contexts)``.
+
+    A fault's contexts are its own pending contexts times the
+    directions of each committed element.  Dedup and word-mode
+    retirement key on the fault index, so both the outcome and the
+    count equal those of a one-fault run -- which is what lets the
+    campaign store each fault as a one-fault qualification row.
+    """
     incremental = IncrementalCoverage(
         faults, memory_size, exhaustive_limit, lf3_layout, backend,
         width, backgrounds)
+    contexts = [0] * len(incremental.faults)
     for element in test.elements:
+        runs = len(_directions(element.order))
+        for index, pending in incremental._pending_by_fault.items():
+            contexts[index] += len(pending) * runs
         incremental.append(element)
-    return incremental.outcomes(), incremental.contexts_simulated
+    return list(zip(incremental.outcomes(), contexts))
 
 
 def report_from_outcomes(

@@ -1,7 +1,11 @@
 """Fault-tolerant supervised execution of campaign work units.
 
-:class:`CoverageCampaign` and the diagnosis dictionary build fan work
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  A bare
+:class:`CoverageCampaign` and the diagnosis dictionary build (fleets
+included) fan their faults out through one keyed work queue,
+:func:`run_keyed`: store rows replayed in one bulk read, the misses
+chunked into :class:`SupervisedTask` objects, each finished chunk
+checkpointed in one store transaction.  Beyond one worker the chunks
+run on a :class:`~concurrent.futures.ProcessPoolExecutor`.  A bare
 pool is brittle: one crashed worker raises
 :class:`~concurrent.futures.process.BrokenProcessPool` and discards
 every completed chunk, a hung worker stalls the campaign forever, and
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.sim.batch import auto_chunk_size, chunked
 from repro.sim.chaos import ChaosSpec, apply_chaos
 
 #: How long a shut-down pool's manager thread gets to reap its workers
@@ -151,15 +156,12 @@ class FailureEvent:
 class FailureReport:
     """Everything a supervised run had to recover from.
 
-    Empty on a clean run.  ``chunk_checkpoints``/``chunk_hits`` count
-    the incremental store checkpoints written and the previously
-    checkpointed chunks served without re-simulation (the chunk-level
-    extension of the store's job-level resume).
+    Empty on a clean run.  Recovery only: what a run replayed from the
+    store or simulated is counted on its result (``store_hits``,
+    ``contexts_executed``, ``simulated_runs``), the same on every path.
     """
 
     events: List[FailureEvent] = field(default_factory=list)
-    chunk_checkpoints: int = 0
-    chunk_hits: int = 0
 
     def record(
         self, kind: str, label: str, attempt: int, detail: str = ""
@@ -185,8 +187,6 @@ class FailureReport:
             "respawns": self.count("respawn"),
             "degraded_serial": self.count("degrade-serial"),
             "degraded_backend": self.count("degrade-backend"),
-            "chunk_checkpoints": self.chunk_checkpoints,
-            "chunk_hits": self.chunk_hits,
         }
 
     def summary(self) -> str:
@@ -546,3 +546,114 @@ class Supervisor:
             results[position] = result
             if on_complete is not None:
                 on_complete(task, result)
+
+
+@dataclass(frozen=True, eq=False)
+class TaskGeometry:
+    """What the items of one :func:`run_keyed` group share.
+
+    The arguments of a batch function ``fn(test, faults, memory_size,
+    exhaustive_limit, lf3_layout, backend, width, backgrounds)`` but
+    the fault chunk and the backend, and *label*, the prefix of the
+    group's task labels (chaos plans hash them).  Items group by
+    geometry object, never by value.
+    """
+
+    label: str
+    test: Any
+    memory_size: int
+    exhaustive_limit: int
+    lf3_layout: str
+    width: int
+    backgrounds: Optional[Tuple]
+
+    def args(self, faults: List, backend: str) -> Tuple:
+        return (self.test, faults, self.memory_size,
+                self.exhaustive_limit, self.lf3_layout, backend,
+                self.width, self.backgrounds)
+
+
+def run_keyed(
+    fn: Callable,
+    items: Sequence[Tuple[TaskGeometry, Any]],
+    keys: Optional[Sequence[str]],
+    *,
+    store=None,
+    encode: Optional[Callable] = None,
+    decode: Optional[Callable] = None,
+    backend: str = "auto",
+    workers: int = 1,
+    policy: Optional[SupervisorPolicy] = None,
+    chaos: Optional[ChaosSpec] = None,
+    chunk_size: Optional[int] = None,
+) -> Tuple[List[Any], List[bool], Optional[FailureReport]]:
+    """Run *fn* over ``(geometry, fault)`` items, one result per item.
+
+    The one fan-out of campaigns, dictionaries and fleets.  With
+    *keys* (one *store* key per item) stored rows come back in one
+    ``get_many`` and decode as ``decode(geometry, fault, payload)``.
+    The misses are chunked per geometry (*chunk_size*, or
+    :func:`repro.sim.batch.auto_chunk_size`) into tasks that fall back
+    to the dense kernel; *fn* returns one result per fault of its
+    chunk.  Each finished chunk is checkpointed in one ``put_many`` of
+    ``encode(geometry, fault, result)`` rows.  At ``workers=1``
+    without *chaos* the tasks run in-process, in order, through the
+    same checkpoint; otherwise a :class:`Supervisor` runs them.
+
+    Returns:
+        ``(results, simulated, failure_report)``: the results in item
+        order; per item, whether this run simulated it (``False`` for
+        a replayed row); the recovery log, ``None`` when nothing ran
+        supervised.
+    """
+    results: List[Any] = [None] * len(items)
+    simulated = [True] * len(items)
+    payloads = {} if keys is None else store.get_many(keys)
+    misses: Dict[TaskGeometry, List[int]] = {}
+    for position, (geometry, fault) in enumerate(items):
+        payload = None if keys is None else payloads.get(keys[position])
+        if payload is None:
+            misses.setdefault(geometry, []).append(position)
+        else:
+            results[position] = decode(geometry, fault, payload)
+            simulated[position] = False
+    tasks: List[SupervisedTask] = []
+    for geometry, positions in misses.items():
+        size = chunk_size or auto_chunk_size(len(positions), workers)
+        chunks = list(chunked(positions, size))
+        for index, chunk in enumerate(chunks):
+            faults = [items[position][1] for position in chunk]
+            tasks.append(SupervisedTask(
+                label=(f"{geometry.label} "
+                       f"chunk {index + 1}/{len(chunks)}"),
+                fn=fn,
+                args=geometry.args(faults, backend),
+                fallback_args=(None if backend == "dense"
+                               else geometry.args(faults, "dense")),
+                context=chunk,
+            ))
+
+    def checkpoint(task: SupervisedTask, chunk_results) -> None:
+        for position, result in zip(task.context, chunk_results):
+            results[position] = result
+        if keys is not None:
+            store.put_many([
+                (keys[position], encode(*items[position], result))
+                for position, result in zip(
+                    task.context, chunk_results)])
+
+    if not tasks or (workers == 1 and chaos is None):
+        for task in tasks:
+            checkpoint(task, task.fn(*task.args))
+        return results, simulated, None
+    report = FailureReport()
+    lock_chaos = store is not None and chaos is not None
+    if lock_chaos:
+        store.inject_lock_chaos(chaos.lock_plan())
+    try:
+        Supervisor(workers, policy, chaos=chaos, report=report).run(
+            tasks, on_complete=checkpoint)
+    finally:
+        if lock_chaos:
+            store.inject_lock_chaos(None)
+    return results, simulated, report

@@ -137,6 +137,7 @@ def signature_key(
     width: int,
     backgrounds: Optional[Tuple[Background, ...]],
     fault_key: Optional[str] = None,
+    march_key: Optional[str] = None,
 ) -> str:
     """The content address of one fault's signature-dictionary row.
 
@@ -150,13 +151,15 @@ def signature_key(
     material is a structurally different document, so the store's
     single keyspace extends without migration.  The simulation backend
     is excluded for the same reason as in :func:`qualification_key`:
-    detection sites are backend-identical.
+    detection sites are backend-identical.  *fault_key* and
+    *march_key* are a precomputed :func:`fault_id` and
+    :func:`canonical_notation`.
     """
     material = json.dumps(
         {
             "kind": "signature-dictionary",
             "semantics": SEMANTICS_VERSION,
-            "march": canonical_notation(test),
+            "march": march_key or canonical_notation(test),
             "fault": fault_key or fault_id(fault),
             "size": memory_size,
             "limit": exhaustive_limit,
@@ -180,6 +183,7 @@ def qualification_key(
     width: int,
     backgrounds: Optional[Tuple[Background, ...]],
     fault_list_key: Optional[str] = None,
+    march_key: Optional[str] = None,
 ) -> str:
     """The content address of one qualification cell.
 
@@ -198,11 +202,13 @@ def qualification_key(
             identically because both resolve before keying.
         fault_list_key: precomputed :func:`fault_list_id`, letting
             campaigns hash each fault list once instead of per job.
+        march_key: precomputed :func:`canonical_notation`, letting
+            batch callers render the notation once instead of per key.
     """
     material = json.dumps(
         {
             "semantics": SEMANTICS_VERSION,
-            "march": canonical_notation(test),
+            "march": march_key or canonical_notation(test),
             "faults": fault_list_key or fault_list_id(faults),
             "size": memory_size,
             "limit": exhaustive_limit,

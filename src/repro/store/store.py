@@ -74,13 +74,24 @@ class QualificationStore:
     def __init__(self, path: Union[str, os.PathLike] = ":memory:"):
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
+        self.session_hits = 0
+        self.session_misses = 0
+        #: Recovered transient write errors this session (real lock
+        #: contention and injected chaos both count).
+        self.session_write_retries = 0
+        self._lock_chaos: Optional[Callable[[], bool]] = None
+
         # Every put() commits (an interrupted campaign must find its
         # finished cells on resume), so make commits cheap: WAL avoids
         # a journal rewrite per transaction and synchronous=NORMAL
         # drops the per-commit fsync -- a power loss can at worst cost
         # recent cache entries, never corrupt the database.  Both
-        # pragmas are no-ops for in-memory stores.
-        try:
+        # pragmas are no-ops for in-memory stores.  The setup is
+        # retried because switching a new file to WAL skips SQLite's
+        # busy wait: two connections opening one new store at once
+        # (the job threads of a fresh `serve`) saw "database is
+        # locked" there.
+        def setup():
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             # First line of defense against concurrent writers:
@@ -90,6 +101,9 @@ class QualificationStore:
             self._conn.execute("PRAGMA busy_timeout=5000")
             self._conn.execute(_TABLE_SQL)
             self._conn.commit()
+
+        try:
+            self._with_retry(setup)
         except sqlite3.DatabaseError as error:
             self._conn.close()
             if type(error) is not sqlite3.DatabaseError:
@@ -105,12 +119,6 @@ class QualificationStore:
             raise ValueError(
                 f"{self.path!r} is not a qualification store "
                 f"database: {error}") from None
-        self.session_hits = 0
-        self.session_misses = 0
-        #: Recovered transient write errors this session (real lock
-        #: contention and injected chaos both count).
-        self.session_write_retries = 0
-        self._lock_chaos: Optional[Callable[[], bool]] = None
 
     def inject_lock_chaos(
         self, plan: Optional[Callable[[], bool]]
@@ -202,13 +210,29 @@ class QualificationStore:
         workers never fight over a row.  Transient lock contention is
         retried with capped backoff (see :meth:`_with_retry`).
         """
+        self.put_many([(key, payload)])
+
+    def put_many(self, rows: Sequence[Tuple[str, dict]]) -> None:
+        """:meth:`put` every ``(key, payload)`` row in one transaction.
+
+        One commit and one retry unit per finished chunk of the keyed
+        work queue.  A statement takes up to 249 rows (999 bound
+        parameters): each step releases the GIL, and retaking it can
+        wait out a switch interval behind a busy job thread.
+        """
+        values = [
+            field for key, payload in rows
+            for field in (key, SCHEMA_VERSION, SEMANTICS_VERSION,
+                          json.dumps(payload, separators=(",", ":")))]
+
         def write():
-            self._conn.execute(
-                "INSERT OR IGNORE INTO qualifications "
-                "(key, schema_version, semantics_version, payload) "
-                "VALUES (?, ?, ?, ?)",
-                (key, SCHEMA_VERSION, SEMANTICS_VERSION,
-                 json.dumps(payload, separators=(",", ":"))))
+            for start in range(0, len(values), 4 * 249):
+                batch = values[start:start + 4 * 249]
+                self._conn.execute(
+                    "INSERT OR IGNORE INTO qualifications "
+                    "(key, schema_version, semantics_version, payload) "
+                    "VALUES " + ",".join(["(?, ?, ?, ?)"] * (len(batch) // 4)),
+                    batch)
             self._conn.commit()
 
         self._with_retry(write)

@@ -18,6 +18,13 @@ from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
 from repro.sim.backends import backend_names
 from repro.sim.coverage import qualify_test
+from repro.sim.supervisor import SupervisorPolicy
+
+#: The suites' supervisor policy: no backoff sleeps (retries should be
+#: instant under test; determinism does not depend on the delays) and
+#: a chunk budget generous enough for a loaded 1-CPU runner, so a stuck
+#: worker fails its test instead of hanging the job.
+FAST = SupervisorPolicy(backoff_base=0.0, timeout=120.0)
 
 
 def alternative_backends():

@@ -5,19 +5,21 @@ chaos spec, a campaign's deterministic report is byte-identical to
 the undisturbed serial oracle.**  The matrix below injects every
 failure kind (worker crash, hang past the timeout, slow chunk, poison
 exception) into serial and parallel runs on every backend, plus store
-lock contention and a simulated mid-campaign kill that must resume at
-chunk granularity with zero re-simulation of completed chunks.
+lock contention and a simulated mid-campaign kill that must resume,
+under any worker count, with zero re-simulation of finished faults.
 """
 
 import json
+import shutil
 
 import pytest
 
-from harness import stratified
+from harness import FAST, stratified
 from repro.diagnosis.dictionary import build_dictionary
 from repro.faults.lists import fault_list_2
 from repro.march.known import known_march
 from repro.sim.campaign import CoverageCampaign
+from repro.sim.coverage import fault_outcomes
 from repro.sim.chaos import (
     ChaosPoison,
     ChaosSpec,
@@ -25,7 +27,7 @@ from repro.sim.chaos import (
     parse_chaos,
 )
 from repro.sim.supervisor import SupervisorPolicy
-from repro.store import QualificationStore
+from repro.store import QualificationStore, qualification_key
 
 TEST = known_march("March C-").test
 #: A stratified slice of FL#2 keeps each matrix cell around a second
@@ -35,12 +37,14 @@ FAULTS = stratified(fault_list_2(), 12)
 #: for crashes to catch innocent chunks in flight.
 CHUNK = 3
 
-#: No backoff sleeps: chaos tests retry a lot, determinism does not
-#: depend on the delays.
-FAST = SupervisorPolicy(backoff_base=0.0)
 #: Hang cells need a real timeout to recover; generous enough for a
 #: loaded 1-CPU CI runner, small enough to keep the cell fast.
 HANG = SupervisorPolicy(timeout=1.5, backoff_base=0.0)
+
+
+def fault_row_key(fault):
+    """The store key of *fault*'s campaign row (March C-, n=3)."""
+    return qualification_key(TEST, [fault], 3, 6, "straddle", 1, None)
 
 
 def run_campaign(**kwargs):
@@ -216,8 +220,8 @@ class TestChaosMatrix:
         assert result.report_json() == oracle_json
         assert store.session_write_retries >= 1
         assert store._lock_chaos is None  # seam cleared after the run
-        # Every simulated chunk was checkpointed despite the chaos.
-        assert result.failure_report.chunk_checkpoints == 4
+        # Every fault's row and the job row landed despite the chaos.
+        assert len(store) == len(FAULTS) + 1
         # The disturbed store is a perfectly warm cache afterwards.
         warm = run_campaign(workers=1, store=store)
         assert warm.report_json() == oracle_json
@@ -242,44 +246,81 @@ class TestChunkResume:
     def test_kill_mid_campaign_resumes_at_chunk_level(self, tmp_path):
         oracle = run_campaign()
         store = QualificationStore(tmp_path / "resume.sqlite")
-        real_put = store.put
-        puts = []
+        real_put_many = store.put_many
+        checkpoints = []
 
-        def exploding_put(key, payload):
-            if len(puts) == 2:
+        def exploding_put_many(rows):
+            if len(checkpoints) == 2:
                 raise KeyboardInterrupt("simulated kill")
-            real_put(key, payload)
-            puts.append(key)
+            real_put_many(rows)
+            checkpoints.append(rows)
 
-        store.put = exploding_put
+        store.put_many = exploding_put_many
         with pytest.raises(KeyboardInterrupt):
             CoverageCampaign(
                 TEST, {"FL2": FAULTS}, memory_sizes=[3], workers=2,
                 chunk_size=CHUNK, store=store, policy=FAST).run()
-        store.put = real_put
-        # Two of the four chunks were checkpointed before the kill;
-        # the job-level row never landed.
-        assert len(store) == 2
+        store.put_many = real_put_many
+        # Two of the four chunks were checkpointed before the kill,
+        # one row per fault; the job row never landed.
+        assert len(store) == 2 * CHUNK
+        stored = [fault_row_key(fault) in store for fault in FAULTS]
+        assert sum(stored) == 2 * CHUNK
 
         resumed = CoverageCampaign(
-            TEST, {"FL2": FAULTS}, memory_sizes=[3], workers=2,
+            TEST, {"FL2": FAULTS}, memory_sizes=[3], workers=4,
             chunk_size=CHUNK, store=store, policy=FAST).run()
         assert resumed.report_json() == oracle.report_json()
-        report = resumed.failure_report
-        # The checkpointed chunks were served, not re-simulated, and
-        # only the two missing chunks were computed and checkpointed.
-        assert report.chunk_hits == 2
-        assert report.chunk_checkpoints == 2
+        # Under another worker count, exactly the faults without a
+        # row were simulated: each one's own contexts, nothing more.
+        assert resumed.contexts_executed == sum(
+            contexts for (_, contexts), done
+            in zip(fault_outcomes(TEST, FAULTS, 3), stored)
+            if not done)
+        assert 0 < resumed.contexts_executed \
+            < oracle.contexts_executed
         # The resumed run completed the job-level row too: the next
         # run is a pure job-level hit with zero simulation.
         warm = run_campaign(workers=1, store=store)
         assert warm.store_hits == 1 and warm.store_misses == 0
+        assert warm.contexts_executed == 0
         assert warm.report_json() == oracle.report_json()
         store.close()
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_resume_replays_fault_rows_under_any_worker_count(
+            self, tmp_path, workers):
+        # A 2-worker run's rows serve a resume at any worker count
+        # once the job row is gone: every fault is replayed, none
+        # simulated again.
+        faults = list(fault_list_2())
+        oracle = CoverageCampaign(
+            TEST, {"FL2": faults}, memory_sizes=[3]).run()
+        path = tmp_path / "run.sqlite"
+        store = QualificationStore(path)
+        first = CoverageCampaign(
+            TEST, {"FL2": faults}, memory_sizes=[3], workers=2,
+            store=store).run()
+        assert first.contexts_executed == oracle.contexts_executed > 0
+        store._conn.execute(
+            "DELETE FROM qualifications WHERE key = ?",
+            (qualification_key(
+                TEST, faults, 3, 6, "straddle", 1, None),))
+        store._conn.commit()
+        store.close()
+        copy = tmp_path / f"copy-{workers}.sqlite"
+        shutil.copyfile(path, copy)
+        with QualificationStore(copy) as resumed_store:
+            resumed = CoverageCampaign(
+                TEST, {"FL2": faults}, memory_sizes=[3],
+                workers=workers, store=resumed_store).run()
+        assert resumed.store_misses == 1
+        assert resumed.report_json() == oracle.report_json()
+        assert resumed.contexts_executed == 0
+
     def test_chunk_partition_change_still_correct(self, tmp_path):
-        # Checkpoints are content-addressed by chunk; a different
-        # chunk_size misses them but must still reach oracle bytes.
+        # Checkpoints are per fault, so a different chunk_size cannot
+        # change what a resume finds; it must still reach oracle bytes.
         oracle = run_campaign()
         store = QualificationStore(tmp_path / "partition.sqlite")
         first = run_campaign(workers=2, chunk_size=CHUNK, store=store)
@@ -305,8 +346,8 @@ class TestDictionaryChaos:
             policy=FAST, chaos="crash=0.25,poison=0.25,lock=0.3,seed=5")
         assert disturbed.to_json() == oracle.to_json()
         assert disturbed.failure_report is not None
-        assert disturbed.failure_report.chunk_checkpoints \
-            == len(FAULTS)
+        # Every fault's signature row landed despite the chaos.
+        assert len(store) == len(FAULTS)
         # The disturbed build checkpointed every fault: a warm
         # rebuild simulates nothing and matches byte-for-byte.
         warm = build_dictionary(

@@ -306,6 +306,7 @@ class TestResilienceCli:
         exact resume command."""
         import os
         import signal
+        import sqlite3
         import subprocess
         import sys
         import time
@@ -325,7 +326,24 @@ class TestResilienceCli:
              "--store", str(store_path)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env)
-        time.sleep(3.0)  # let a few chunks complete and checkpoint
+        # Interrupt once the first chunk has checkpointed, while the
+        # run goes on: a fixed 3 s sleep raced the whole campaign,
+        # which takes 2.7-3.0 s on a 2-vCPU host.
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and proc.poll() is None:
+            if store_path.exists():
+                reader = sqlite3.connect(
+                    f"file:{store_path}?mode=ro", uri=True)
+                try:
+                    rows = reader.execute(
+                        "SELECT COUNT(*) FROM qualifications").fetchone()[0]
+                except sqlite3.OperationalError:
+                    rows = 0  # the table is not created yet
+                finally:
+                    reader.close()
+                if rows:
+                    break
+            time.sleep(0.02)
         proc.send_signal(signal.SIGINT)
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == 130, out

@@ -25,6 +25,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from argparse import Namespace
 from pathlib import Path
 
@@ -42,16 +43,16 @@ from repro.diagnosis import (
 )
 from repro.faults.lists import fault_list_2
 from repro.march.known import known_march
+from repro.sim.campaign import CoverageCampaign
 from repro.sim.coverage import fault_name
 from repro.sim.supervisor import (
     FailureReport,
     SupervisedTask,
     Supervisor,
-    SupervisorPolicy,
 )
 from repro.store import QualificationStore
 
-from harness import best_seconds, toy_fail_until
+from harness import FAST, best_seconds, toy_fail_until
 
 MARCH_C = known_march("March C-").test
 FL2 = fault_list_2()
@@ -59,9 +60,6 @@ FL2_NAMES = [fault_name(f) for f in FL2]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_SPEC = REPO_ROOT / "examples" / "fleet_demo.json"
-
-#: No backoff sleeps -- supervised retries should be instant in tests.
-FAST = SupervisorPolicy(backoff_base=0.0)
 
 
 def small_fleet(failing=4):
@@ -384,6 +382,51 @@ class TestFleetRecovery:
         warm = diagnose_fleet(MARCH_C, FL2, spec, store=path)
         assert warm.simulated_runs == 0
         assert warm.report_json() == baseline.report_json()
+
+
+# ----------------------------------------------------------------------
+# Concurrent checkpointers on one store file
+# ----------------------------------------------------------------------
+
+class TestConcurrentCheckpointers:
+    def test_two_connections_on_one_cold_store(self, tmp_path):
+        # Two threads, each with its own store connection on one cold
+        # file, run the same fleet and the same FL#2 campaign at once
+        # (in opposite orders), so their per-chunk put_many
+        # transactions contend for the one write lock.
+        mats = known_march("MATS+").test
+        spec = load_fleet_spec(str(DEMO_SPEC))
+        jobs = {
+            "fleet": lambda store: diagnose_fleet(
+                mats, FL2, spec, store=store).report_json(),
+            "campaign": lambda store: CoverageCampaign(
+                mats, {"FL#2": FL2}, memory_sizes=(3, 4),
+                store=store).run().report_json(),
+        }
+        expected = {name: run(None) for name, run in jobs.items()}
+        path = tmp_path / "shared.sqlite"
+        outputs, errors = [], []
+
+        def client(order):
+            try:
+                with QualificationStore(path) as store:
+                    outputs.extend(
+                        (name, jobs[name](store)) for name in order)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=client, args=(order,))
+            for order in (("fleet", "campaign"), ("campaign", "fleet"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not errors, errors
+        assert sorted(name for name, _ in outputs) == [
+            "campaign", "campaign", "fleet", "fleet"]
+        for name, output in outputs:
+            assert output == expected[name], name
 
 
 # ----------------------------------------------------------------------

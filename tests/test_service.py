@@ -422,6 +422,33 @@ class TestQueueAndLimits:
         record, _ = service.submit({**SMALL_JOB, "workers": 64})
         assert record.spec.workers == 2
 
+    def test_client_chaos_needs_a_chaos_service(self):
+        # chaos is not part of the job key: accepted, it would hang
+        # (or crash) the job every identical clean POST coalesces on.
+        service = QualificationService(autostart=False)
+        with pytest.raises(ValueError, match="started with --chaos"):
+            service.submit({**SMALL_JOB, "chaos": "hang=1.0,seed=1"})
+        assert service.metrics()["rejected_invalid"] == 1
+        assert service.health()["queue"]["depth"] == 0
+        chaotic = QualificationService(chaos="seed=1", autostart=False)
+        record, _ = chaotic.submit(
+            {**SMALL_JOB, "chaos": "poison=0.5,seed=2"})
+        assert record.spec.chaos == "poison=0.5,seed=2"
+
+    def test_stop_fails_queued_jobs(self):
+        service = QualificationService(autostart=False)
+        record, _ = service.submit(dict(SMALL_JOB))
+        service.stop()
+        assert record.done.is_set()
+        assert record.status == "failed"
+        assert "stopped" in record.error
+        assert "\n" not in record.error
+        assert service.metrics()["jobs_failed"] == 1
+        assert service.health()["queue"]["depth"] == 0
+        # The key is free: a resubmission is a new record.
+        again, coalesced = service.submit(dict(SMALL_JOB))
+        assert not coalesced and again is not record
+
 
 # ----------------------------------------------------------------------
 # The HTTP surface
@@ -501,6 +528,12 @@ class TestHTTP:
         body = error.value.read()
         assert len(body) < 1024
         assert json.loads(body)["error"] == str(cli_error.value)
+
+    def test_client_chaos_is_a_400(self):
+        with pytest.raises(ServiceError) as error:
+            self.client.submit({**SMALL_JOB, "chaos": "seed=1"})
+        assert error.value.status == 400
+        assert "--chaos" in error.value.message
 
     def test_malformed_body_is_a_400(self):
         request = urllib.request.Request(

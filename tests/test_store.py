@@ -421,7 +421,8 @@ class TestStoreCli:
             "store", "merge", str(tmp_path / "m.sqlite"),
             str(tmp_path / "s1.sqlite"), str(tmp_path / "s2.sqlite"))
         assert code == 0
-        assert "2 row(s) (2 added)" in capsys.readouterr().out
+        # Each shard stored its job row and one row per FL#2 fault.
+        assert "50 row(s) (50 added)" in capsys.readouterr().out
         code = self.run_cli(
             "campaign", "--tests", "March ABL1", "March SL",
             "--fault-lists", "2",
@@ -464,11 +465,13 @@ class TestStoreCli:
             "campaign", "--tests", "March SL", "--fault-lists", "2",
             "--store", str(path))
         capsys.readouterr()
+        # The job row plus one row per FL#2 fault.
+        rows = 1 + len(FL2)
         assert self.run_cli("store", "stats", str(path)) == 0
-        assert "rows: 1" in capsys.readouterr().out
+        assert f"rows: {rows} " in capsys.readouterr().out
         assert self.run_cli("store", "stats", str(path), "--json") == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["current_rows"] == 1
+        assert stats["current_rows"] == rows
         assert self.run_cli("store", "gc", str(path)) == 0
         assert "reclaimed 0" in capsys.readouterr().out
         out_file = tmp_path / "dump.json"
@@ -476,7 +479,7 @@ class TestStoreCli:
             "store", "export", str(path),
             "--output", str(out_file)) == 0
         dump = json.loads(out_file.read_text())
-        assert len(dump["rows"]) == 1
+        assert len(dump["rows"]) == rows
 
     def test_store_commands_reject_missing_files(self, tmp_path):
         for command in (["stats"], ["gc"], ["export"]):
@@ -538,6 +541,37 @@ class TestStoreResilience:
         store = QualificationStore(tmp_path / "busy.sqlite")
         assert store._conn.execute(
             "PRAGMA busy_timeout").fetchone()[0] == 5000
+        store.close()
+
+    def test_setup_retries_a_locked_wal_switch(
+            self, tmp_path, monkeypatch):
+        # Two connections opening one new store file at once (the job
+        # threads of a fresh `serve`) can see the WAL switch fail with
+        # "database is locked": SQLite takes that lock without its busy
+        # wait.  The setup is retried like any write.
+        connect = sqlite3.connect
+
+        class LockedOnce:
+            def __init__(self, path):
+                self._conn = connect(path)
+                self._locked = True
+
+            def execute(self, sql, *args):
+                if self._locked and sql.startswith("PRAGMA journal_mode"):
+                    self._locked = False
+                    raise sqlite3.OperationalError("database is locked")
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(sqlite3, "connect", LockedOnce)
+        store = QualificationStore(tmp_path / "new.sqlite")
+        assert store.session_write_retries == 1
+        assert store._conn.execute(
+            "PRAGMA journal_mode").fetchone()[0] == "wal"
+        store.put("key", {"p": 1})
+        assert store.get("key") == {"p": 1}
         store.close()
 
     def test_put_retries_transient_locks(self):
@@ -606,6 +640,19 @@ class TestStoreResilience:
         # added count stays exact.
         assert target.merge(str(tmp_path / "source.sqlite")) == 2
         assert target.session_write_retries == 1
+
+    def test_put_many_is_one_retried_transaction(self):
+        store = QualificationStore()
+        fires = iter([True, False])
+        store.inject_lock_chaos(lambda: next(fires, False))
+        store.put_many([("key-1", {"p": 1}), ("key-2", {"p": 2})])
+        # One lock error, one retry of the whole batch, both rows in.
+        assert store.session_write_retries == 1
+        assert store.get_many(["key-1", "key-2"]) == {
+            "key-1": {"p": 1}, "key-2": {"p": 2}}
+        store.put_many([("key-1", {"p": 9})])  # idempotent
+        assert store.get("key-1") == {"p": 1}
+        assert len(store) == 2
 
     def test_stats_count_write_retries(self):
         store = QualificationStore()

@@ -24,6 +24,7 @@ from repro.sim.supervisor import (
 )
 
 from harness import (
+    FAST,
     toy_crash_until,
     toy_fail_until,
     toy_hang_until,
@@ -31,9 +32,6 @@ from harness import (
     toy_sleep,
     toy_square,
 )
-
-#: No backoff sleeps -- retries should be instant under test.
-FAST = SupervisorPolicy(backoff_base=0.0)
 
 
 def squares(count):
