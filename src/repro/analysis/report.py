@@ -133,5 +133,6 @@ def build_report(include_generation: bool = False) -> str:
     else:
         sections.append(
             "## Table 1\n\nSkipped (pass ``--generate`` to regenerate "
-            "the rows live; see EXPERIMENTS.md for recorded values).")
+            "the rows live; see the README's \"Table 1\" subsection "
+            "for recorded values).")
     return "\n\n".join(sections) + "\n"

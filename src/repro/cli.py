@@ -61,7 +61,13 @@ from repro.march.known import ALL_KNOWN, known_march
 from repro.march.test import parse_march
 from repro.march.wordize import wordize
 from repro.service.jobs import JobRunner, JobSpec, fleet_document_text
-from repro.sim.backends import backend_names, get_backend
+from repro.sim.backends import (
+    BACKENDS,
+    BITPAR_AUTO_MIN_PLACEMENTS,
+    SPARSE_AUTO_MIN_SIZE,
+    backend_names,
+    check_backend,
+)
 from repro.sim.supervisor import CampaignExecutionError
 from repro.sim.coverage import CoverageOracle
 from repro.store import QualificationStore
@@ -815,22 +821,22 @@ def _add_word_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--backend`` simulation-kernel selector.
 
-    Choices and help text come from the live backend registry
-    (:mod:`repro.sim.backends`), so a newly registered kernel is
-    selectable with no CLI change.  Validation happens centrally in
-    :func:`main` (a one-line exit-1 message) rather than through
-    argparse ``choices`` -- deep inside a campaign worker fan-out is
-    too late to learn the name was wrong.
+    Choices and help text come from the kernel table
+    (:data:`repro.sim.backends.BACKENDS`).  Validation happens
+    centrally in :func:`main` (a one-line exit-1 message) rather than
+    through argparse ``choices`` -- deep inside a campaign worker
+    fan-out is too late to learn the name was wrong.
     """
     lines = "; ".join(
-        f"'{name}': {get_backend(name).description}"
-        for name in backend_names() if name != "auto")
+        f"'{name}': {text}" for name, text in BACKENDS.items())
     parser.add_argument(
         "--backend", default="auto", metavar="NAME",
         help=f"simulation kernel, one of {', '.join(backend_names())} "
-             f"-- {lines}; 'auto' (default) resolves by capability "
-             "query over the registry; reports are byte-identical "
-             "across backends")
+             f"-- {lines}; 'auto' (default) picks dense below "
+             f"{SPARSE_AUTO_MIN_SIZE} cells (or words), bitpar for "
+             f"workloads of at least {BITPAR_AUTO_MIN_PLACEMENTS} "
+             "placement contexts and sparse otherwise; reports are "
+             "byte-identical across backends")
 
 
 def _shared_options() -> argparse.ArgumentParser:
@@ -936,10 +942,10 @@ def build_parser() -> argparse.ArgumentParser:
              "results identical to the serial run)")
     generate.add_argument(
         "--store", metavar="PATH",
-        help="content-addressed qualification store: committed march "
-             "prefixes, pruner candidate evaluations and the final "
-             "qualification are memoized across runs (a repeated "
-             "generation re-simulates almost nothing)")
+        help="content-addressed qualification store: every committed "
+             "march prefix and the final qualification are recorded; "
+             "a repeated generation replays only the final "
+             "qualification (probing and pruning simulate again)")
     _add_backend_argument(generate)
     _add_word_arguments(generate)
     generate.add_argument("--verbose", action="store_true")
@@ -1263,11 +1269,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # The raw invocation, kept so interrupt handlers can print the
     # exact resume command.
     args._argv = list(sys.argv[1:] if argv is None else argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None and backend not in backend_names():
-        raise SystemExit(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {', '.join(backend_names())}")
+    try:
+        check_backend(getattr(args, "backend", "auto"))
+    except ValueError as error:
+        raise SystemExit(str(error))
     return args.func(args)
 
 

@@ -52,7 +52,7 @@ from repro.sim.coverage import (
     normalize_word_mode,
 )
 from repro.sim.placements import DEFAULT_MEMORY_SIZE
-from repro.sim.backends import backend_names
+from repro.sim.backends import check_backend
 from repro.store import (
     QualificationStore,
     encode_outcomes,
@@ -268,11 +268,7 @@ class MarchGenerator:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        if backend not in backend_names():
-            raise ValueError(
-                f"unknown simulation backend {backend!r}; "
-                f"choose from {backend_names()}")
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.width, self.backgrounds = normalize_word_mode(
             width, backgrounds)
         self.store: QualificationStore = open_store(store)

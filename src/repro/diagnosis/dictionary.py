@@ -41,7 +41,7 @@ from repro.sim.coverage import TargetFault, fault_name, normalize_word_mode
 from repro.sim.chaos import ChaosSpec, parse_chaos
 from repro.sim.engine import run_grid, signature_runs
 from repro.sim.placements import DEFAULT_MEMORY_SIZE
-from repro.sim.backends import backend_names
+from repro.sim.backends import check_backend
 from repro.sim.supervisor import (
     FailureReport,
     SupervisorPolicy,
@@ -429,10 +429,7 @@ def build_dictionaries(
         ValueError: on an unknown backend, an invalid word mode, or
             an empty geometry list.
     """
-    if backend not in backend_names():
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {backend_names()}")
+    check_backend(backend)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not geometries:

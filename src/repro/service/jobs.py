@@ -49,7 +49,7 @@ from repro.faults.lists import fault_list_by_label
 from repro.faults.operations import quoted
 from repro.march.known import known_march
 from repro.march.test import MarchTest, parse_march
-from repro.sim.backends import backend_names
+from repro.sim.backends import check_backend
 from repro.sim.campaign import CoverageCampaign
 from repro.sim.chaos import parse_chaos
 from repro.sim.coverage import fault_name, normalize_word_mode
@@ -220,10 +220,7 @@ class JobSpec:
     def _validate(self) -> None:
         # Self-contained texts first: backend and notation errors are
         # shared with every non-job CLI path, so they carry no prefix.
-        if self.backend not in backend_names():
-            raise ValueError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"choose from {', '.join(backend_names())}")
+        check_backend(self.backend)
         if not self.tests or not all(
                 isinstance(t, str) and t.strip() for t in self.tests):
             raise self._error(

@@ -50,7 +50,8 @@ class RateLimited(Exception):
 
 
 class QueueFull(Exception):
-    """Raised by :meth:`QualificationService.submit` -> HTTP 503."""
+    """Raised by :meth:`QualificationService.submit` -> HTTP 503: the
+    queue is at bound, or the service has stopped."""
 
 
 class TokenBucket:
@@ -283,7 +284,8 @@ class QualificationService:
 
         Raises:
             RateLimited: the client's token bucket is empty (429).
-            QueueFull: the job is new and the queue is at bound (503).
+            QueueFull: the job is new and the queue is at bound, or
+                the service has stopped (503).
             ValueError: the spec is invalid (400) -- the message is
                 exactly what the equivalent CLI run prints.
         """
@@ -317,6 +319,11 @@ class QualificationService:
                 record.coalesced += 1
                 self._metrics["jobs_coalesced"] += 1
                 return record, True
+            if self._stopping:
+                # No worker is left to run it: refuse rather than
+                # queue a record nobody will ever finish.
+                self._metrics["jobs_submitted"] -= 1
+                raise QueueFull("service is stopped; it accepts no new jobs")
             if len(self._heap) >= self.queue_size:
                 self._metrics["jobs_submitted"] -= 1
                 self._metrics["rejected_queue_full"] += 1

@@ -4,9 +4,9 @@
   fault class must be detected under;
 * :mod:`repro.sim.batch` -- memoized placement/instance binding and the
   bit-packed/chunking fast path shared by the oracles;
-* :mod:`repro.sim.backends` -- the simulation-backend registry:
-  capability-queried ``"auto"`` resolution, the unified
-  ``make_memory`` construction seam and the placement-batch protocol;
+* :mod:`repro.sim.backends` -- the three simulation kernels (dense,
+  sparse, bitpar), the ``"auto"`` rule that picks one and the
+  ``make_memory`` construction seam;
 * :mod:`repro.sim.engine` -- executing a march test against a faulty
   memory, including the up/down resolutions of ``⇕`` elements;
 * :mod:`repro.sim.sparse` -- the size-independent sparse kernel:
@@ -23,13 +23,9 @@
 
 from repro.sim.placements import role_placements, order_resolutions
 from repro.sim.backends import (
-    Backend,
-    PlacementBatch,
     backend_names,
-    get_backend,
     kernel_supported,
     make_memory,
-    register_backend,
     resolve_backend,
 )
 from repro.sim.sparse import SparseMemory
@@ -54,13 +50,9 @@ from repro.sim.campaign import (
 __all__ = [
     "role_placements",
     "order_resolutions",
-    "Backend",
-    "PlacementBatch",
     "backend_names",
-    "get_backend",
     "kernel_supported",
     "make_memory",
-    "register_backend",
     "resolve_backend",
     "SparseMemory",
     "DetectionSite",

@@ -10,7 +10,7 @@ run:
   every primitive write/read/wait, giving both executions a common
   operation-trace alphabet;
 * :class:`BistInterpreter` -- executes a compiled program against any
-  memory built by the backend registry (every registered backend's
+  memory :func:`repro.sim.backends.make_memory` builds (every kernel's
   memories accept primitive-level ``write``/``read``/``wait`` calls),
   honouring per-run ``⇕`` resolutions through the program's recorded
   ``any_index`` slots -- the software twin of the Verilog ``any_dir``
@@ -113,7 +113,7 @@ class BistInterpreter:
         """Rebuild one FSM state as a march element.
 
         The reconstruction reads *only* the netlist state -- this is
-        what lets the sparse/bitpar element kernels execute the
+        what lets the sparse element kernels execute the
         emitted program natively (their backing stores share one
         representative cell across unbound addresses, so a dense
         primitive-operation walk is not valid there), while keeping
@@ -172,7 +172,7 @@ class BistInterpreter:
         :class:`FaultyMemory`) and a data background for a word-mode
         one (*memory* a :class:`~repro.memory.word.WordMemory`), as in
         :func:`repro.sim.engine.run_march`.  Memories with an
-        ``element_kernel`` (sparse, bitpar) execute each reconstructed
+        ``element_kernel`` (the sparse ones) execute each reconstructed
         element natively.  Everything else gets the interpreter's own
         walk, written from the netlist's view and sharing no code with
         the engine's, so the operation-grid check compares two
@@ -396,8 +396,7 @@ def verify_program(
         test, program.backgrounds, exhaustive_limit)
     interpreter = BistInterpreter(program)
     memory_width = None if program.backgrounds is None else width
-    resolved_backend = resolve_backend(
-        backend, faults, memory_size, memory_width)
+    resolved_backend = resolve_backend(backend, faults, memory_size)
 
     verification = BistVerification(
         test_name=test.name,

@@ -22,9 +22,9 @@ together, the way ATPG engines bit-parallelize fault simulation:
   that do not bind it behave fault-free through a shared
   fault-free-value track, and homogeneous segments replay through the
   sparse kernel's memoized rep trajectories;
-* detection unpacks lane by lane: each lane dies at exactly the
-  (address, operation, lane) site the dense walk would report, so
-  reports, witnesses and escape sites stay byte-identical.
+* a lane retires at exactly the read the dense walk would detect
+  at, and survivors unpack to the snapshot their sparse memory would
+  hold, so reports and witnesses stay byte-identical.
 
 Packing is sound because everything *scalar* in the simulation state
 is uniform across the packed lanes: the non-bound representative
@@ -53,19 +53,9 @@ from repro.memory.sram import (
     partition_primitives,
     replay_visits_with_cycle_detection,
 )
-from repro.memory.word import (
-    BIT_BACKGROUND,
-    SparseWordMemory,
-    WordDetectionSite,
-    bound_word_cells,
-    step_plan,
-)
+from repro.memory.word import BIT_BACKGROUND, bound_word_cells, step_plan
 from repro.sim.batch import cached_segment_walks
-from repro.sim.sparse import (
-    SparseMemory,
-    earliest_detect,
-    lane_trajectories,
-)
+from repro.sim.sparse import earliest_detect, lane_trajectories
 
 #: Lanes per pack: one Python int comfortably carries 64 lane bits as
 #: a machine word; larger packs would spill into multi-digit bigint
@@ -112,7 +102,7 @@ class _PackPlan:
     """
 
     __slots__ = (
-        "width", "words", "lane_count", "full_mask", "slots", "hot",
+        "width", "words", "full_mask", "slots", "hot",
         "walk_up", "walk_down", "bound_units_per_lane", "state_prims",
         "op_prims", "wait_prims", "visits_touch_bound",
     )
@@ -125,9 +115,7 @@ class _PackPlan:
     ):
         self.width = width
         self.words = words
-        lanes = len(instances)
-        self.lane_count = lanes
-        self.full_mask = (1 << lanes) - 1
+        self.full_mask = (1 << len(instances)) - 1
         stored = tuple(
             bound_word_cells(
                 inst.cells if inst is not None else (), width)
@@ -215,7 +203,7 @@ class _LanePack:
 
     __slots__ = (
         "plan", "background", "slot_d", "slot_v", "reps", "live",
-        "sites", "_prev_scalar", "_prev_d", "_prev_v",
+        "_prev_scalar", "_prev_d", "_prev_v",
     )
 
     def __init__(
@@ -244,7 +232,6 @@ class _LanePack:
         self.slot_v = slot_v
         self.reps = reps
         self.live = plan.full_mask
-        self.sites: List[Optional[Tuple]] = [None] * plan.lane_count
         self._prev_scalar = prev_scalar
         prev_d = prev_v = 0
         if prev_scalar is not None:
@@ -433,19 +420,15 @@ class _LanePack:
                 if not self.live:
                     return
             else:
-                _, first, last, length = item
+                _, _, last, length = item
                 if trajectories is None:
                     trajectories = lane_trajectories(
                         ops, self.background, self.reps)
-                detect = earliest_detect(trajectories)
-                if detect is not None:
+                if earliest_detect(trajectories) is not None:
                     # Segment units are bound in no lane: every live
                     # lane is fault-free there, shares the rep entry
-                    # state, and fails at the same (op, lane) site.
-                    op_index, lane, expected, observed = detect
-                    self._kill(
-                        self.live, first, lane, op_index, expected,
-                        None, observed)
+                    # state, and fails at the same read.
+                    self.live = 0
                     return
                 self._replay_segment(ops, length)
                 record = trajectories[plan.width - 1].last_record
@@ -486,7 +469,7 @@ class _LanePack:
         """
         base = unit * self.plan.width
         fault_free = list(self.reps)
-        for op_index, mem_lane, is_write, value in steps:
+        for _, mem_lane, is_write, value in steps:
             if mem_lane is None:
                 self._apply_wait_faults()
                 self._prev_scalar = None
@@ -526,29 +509,10 @@ class _LanePack:
                 mismatch = obs_d & ~obs_v if value else obs_d & obs_v
                 mismatch &= self.live
                 if mismatch:
-                    self._kill(
-                        mismatch, unit, mem_lane, op_index, value, obs_v,
-                        None)
+                    # Retire the lanes whose read mismatched.
+                    self.live &= ~mismatch
                     if not self.live:
                         return
-
-    def _kill(
-        self, mask, unit, mem_lane, op_index, expected, obs_v, observed
-    ) -> None:
-        """Retire the lanes in *mask*, recording their detection site.
-
-        ``observed`` is the shared value for segment detections; hot
-        detections pass ``obs_v`` and read each lane's bit (a
-        mismatching read is always defined, so the bit is the value).
-        """
-        self.live &= ~mask
-        sites = self.sites
-        while mask:
-            low = mask & -mask
-            lane = low.bit_length() - 1
-            value = observed if obs_v is None else (obs_v >> lane) & 1
-            sites[lane] = (unit, mem_lane, op_index, expected, value)
-            mask ^= low
 
     def _replay_segment(self, ops, length: int) -> None:
         """Replay the bound-cell effects of *length* fault-free visits.
@@ -603,7 +567,7 @@ class _LanePack:
 
 
 class BitparBatch:
-    """Fault-level :class:`~repro.sim.backends.PlacementBatch`.
+    """Advances a whole set of pending placement contexts per element.
 
     Groups the pending contexts by everything that must be
     pack-uniform -- fault, background, representative states, the
@@ -647,7 +611,15 @@ class BitparBatch:
         return entry[0]
 
     def advance_all(self, contexts, element, element_index, directions):
-        """See :meth:`repro.sim.backends.PlacementBatch.advance_all`."""
+        """Run *element* from every context's snapshot, per direction.
+
+        Contexts are read duck-typed (``fault_index``, ``instance``,
+        ``snapshot``, ``previous``, ``background``).  Returns one entry
+        per context, aligned with *contexts*: a list with one slot per
+        direction flag, each either ``None`` (the run detected) or the
+        ``(snapshot, previous)`` pair the context's sparse memory
+        would hold after the element.
+        """
         results = [[None] * len(directions) for _ in contexts]
         width = self.width
         groups: dict = {}
@@ -684,84 +656,3 @@ class BitparBatch:
                         results[member[0]][d_index] = pack.result(lane)
         return results
 
-
-# ----------------------------------------------------------------------
-# Single-context memories
-# ----------------------------------------------------------------------
-# The batch is how the oracles drive this backend; the memory classes
-# below run the same pack one lane wide so every other consumer of the
-# seam (detects_instance, escape sites, diagnosis signatures, direct
-# write/read/wait) gets byte-identical behaviour from
-# ``backend="bitpar"`` too.  Stores, packing and direct operations are
-# inherited from the sparse kernels -- only whole-element execution is
-# swapped.
-
-def _run_one_lane(plan, background, bound, reps, previous, element,
-                  descending):
-    """Run *element* through a one-lane pack from one memory's state.
-
-    Returns the lane's :meth:`_LanePack.result` and its detection
-    site (meaningful only when the result is ``None``).
-    """
-    pack = _LanePack(
-        plan, background, [tuple(bound.values())], list(reps),
-        None if previous is None
-        else (previous.kind, previous.value, previous.address),
-        [previous])
-    pack.run_element(element, descending)
-    return pack.result(0), pack.sites[0]
-
-
-class BitparMemory(SparseMemory):
-    """A :class:`~repro.sim.sparse.SparseMemory` whose element kernel
-    runs through a one-lane bit-parallel pack."""
-
-    def __init__(self, size: int, fault: Optional[FaultInstance] = None):
-        super().__init__(size, fault)
-        self._bitpar_plan = _PackPlan((fault,), 1, size)
-
-    def element_kernel(
-        self, element, element_index, descending, background
-    ):
-        from repro.sim.engine import DetectionSite
-
-        outcome, site = _run_one_lane(
-            self._bitpar_plan, BIT_BACKGROUND, self._cells.bound,
-            [self._cells.rep], self._previous, element, descending)
-        if outcome is None:
-            unit, _, op_index, expected, observed = site
-            return DetectionSite(
-                element_index, unit, op_index, expected, observed)
-        self.load_packed(outcome[0])
-        self._previous = outcome[1]
-        return None
-
-
-class BitparWordMemory(SparseWordMemory):
-    """A :class:`~repro.memory.word.SparseWordMemory` whose element
-    kernel runs through a one-lane bit-parallel pack."""
-
-    def __init__(
-        self,
-        words: int,
-        width: int,
-        fault: Optional[FaultInstance] = None,
-    ):
-        super().__init__(words, width, fault)
-        self._bitpar_plan = _PackPlan((fault,), width, words)
-
-    def element_kernel(
-        self, element, element_index, descending, background
-    ):
-        store = self.cells._cells
-        outcome, site = _run_one_lane(
-            self._bitpar_plan, background, store.bound, store.reps,
-            self.cells.previous_operation, element, descending)
-        if outcome is None:
-            unit, mem_lane, op_index, expected, observed = site
-            return WordDetectionSite(
-                element_index, unit, mem_lane, op_index, expected,
-                observed)
-        self.cells.load_packed(outcome[0])
-        self.cells.previous_operation = outcome[1]
-        return None

@@ -55,7 +55,7 @@ from repro.sim.coverage import (
 )
 from repro.sim.chaos import ChaosSpec, parse_chaos
 from repro.sim.placements import DEFAULT_MEMORY_SIZE, LF3_LAYOUTS
-from repro.sim.backends import backend_names
+from repro.sim.backends import check_backend
 from repro.sim.supervisor import (
     FailureReport,
     SupervisorPolicy,
@@ -411,11 +411,7 @@ class CoverageCampaign:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.chunk_size = chunk_size
-        if backend not in backend_names():
-            raise ValueError(
-                f"unknown simulation backend {backend!r}; "
-                f"choose from {backend_names()}")
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.store = open_store(store)
         if shard is not None:
             try:

@@ -32,7 +32,7 @@ from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import FaultyMemory
 from repro.memory.word import WORD_CACHES as _ENGINE_WORD_CACHES
-from repro.sim.backends import get_backend, resolve_backend
+from repro.sim.backends import make_memory, resolve_backend
 from repro.sim.batch import grid_instances, register_cache
 from repro.sim.engine import run_element
 from repro.sim.engine import signature_runs  # noqa: F401 -- re-export
@@ -226,11 +226,10 @@ class CoverageOracle:
         lf3_layout: three-cell placement policy (``"straddle"`` default
             per the Figure 1 calibration; ``"all"`` for the strict
             superset).
-        backend: simulation backend selector (``"auto"`` default --
-            capability-resolved over the registry, see
-            :func:`repro.sim.backends.resolve_backend`; any name from
-            :func:`repro.sim.backends.backend_names` selects that
-            backend explicitly).
+        backend: simulation backend selector (``"auto"`` default,
+            see :func:`repro.sim.backends.resolve_backend`; any name
+            from :func:`repro.sim.backends.backend_names` selects that
+            kernel explicitly).
         width: bits per word; ``width > 1`` (or explicit
             *backgrounds*) qualifies word-oriented: ``memory_size``
             counts words, placements include intra-word lane layouts,
@@ -278,7 +277,6 @@ class CoverageOracle:
         }
         self.backend = resolve_backend(
             backend, self.faults, memory_size,
-            None if self.backgrounds is None else self.width,
             placements=sum(
                 len(group) for group in self._instances.values())
             * (1 if self.backgrounds is None
@@ -545,20 +543,19 @@ class IncrementalCoverage:
             for fault in self.faults]
         self.backend = resolve_backend(
             backend, self.faults, memory_size,
-            None if self.backgrounds is None else self.width,
             placements=sum(len(group) for group in instance_lists)
             * (1 if self.backgrounds is None
                else len(self.backgrounds)))
-        self._backend_obj = get_backend(self.backend)
-        #: Fault-granularity backends advance whole groups of pending
-        #: placement contexts per element through this
-        #: :class:`~repro.sim.backends.PlacementBatch` instead of being
-        #: driven one context (and one memory) at a time.
-        self._batch = (
-            self._backend_obj.make_batch(
+        #: bitpar advances whole groups of pending placement contexts
+        #: per element through this batch instead of one context (and
+        #: one memory) at a time.  Imported here: only bitpar
+        #: workloads pay for loading the module.
+        self._batch = None
+        if self.backend == "bitpar":
+            from repro.sim.bitpar import BitparBatch
+
+            self._batch = BitparBatch(
                 memory_size, self.width, self.backgrounds)
-            if self._backend_obj.batch_granularity == "fault"
-            else None)
         self._element_count = 0
         self._pending: List[_Context] = []
         #: Pending contexts grouped by fault index, in pending order --
@@ -599,7 +596,7 @@ class IncrementalCoverage:
         # background replays the whole march from a fresh memory (in
         # word mode ``memory_size`` counts words, and placements cover
         # both inter-word and intra-word layouts).
-        sparse = self._backend_obj.sparse_snapshot
+        sparse = self.backend != "dense"
         dense_blank = (
             None if sparse
             else blank_snapshot(None, memory_size, self.width, False))
@@ -812,9 +809,8 @@ class IncrementalCoverage:
 
         Returns one column per direction flag, aligned with *pending*:
         ``None`` where the run detected, else the post-element
-        ``(snapshot, previous)`` pair.  Fault-granularity backends run
-        the whole set through their
-        :class:`~repro.sim.backends.PlacementBatch`.
+        ``(snapshot, previous)`` pair.  bitpar runs the whole set
+        through its :class:`~repro.sim.bitpar.BitparBatch`.
         """
         self.contexts_simulated += len(pending) * len(directions)
         if self._batch is not None:
@@ -907,9 +903,9 @@ class IncrementalCoverage:
         """The pooled reusable memory bound to *instance*."""
         memory = self._memories.get(id(instance))
         if memory is None:
-            memory = self._backend_obj.make_memory(
-                self.memory_size, instance,
-                self.width if self.backgrounds is not None else None)
+            memory = make_memory(
+                self.memory_size, instance, self.backend,
+                width=None if self.backgrounds is None else self.width)
             self._memories[id(instance)] = memory
         return memory
 

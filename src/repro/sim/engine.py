@@ -6,7 +6,7 @@ monotone: once a read mismatches, the device has failed the test).
 It and :func:`run_element` are the only runners: ``background=None``
 runs a bit-oriented :class:`FaultyMemory`, a data background a
 :class:`~repro.memory.word.WordMemory`, and the memory's own
-``element_kernel`` (sparse, bitpar) or the one dense unit visit
+``element_kernel`` (sparse) or the one dense unit visit
 (:func:`repro.memory.word.visit_units`) executes each element.
 
 :func:`run_grid` runs one placement over the canonical
@@ -37,7 +37,7 @@ from repro.memory.word import (
     step_plan,
     visit_units,
 )
-from repro.sim.backends import get_backend, resolve_backend
+from repro.sim.backends import make_memory
 from repro.sim.batch import cached_order_resolutions
 
 
@@ -138,11 +138,12 @@ def run_element(
     from a snapshot taken after a shared march prefix.  *background*
     is ``None`` on the bit path, as in :func:`run_march`.
 
-    Memories providing an ``element_kernel`` method (the sparse and
-    bit-parallel backends) execute the whole element themselves in
-    O(ops × bound units); everything else gets the dense every-unit
-    walk below, where the bit path is the width-1 word path under
-    background ``(0,)`` (:func:`repro.memory.word.step_plan`).
+    Memories providing an ``element_kernel`` method (the sparse
+    memories, which the sparse and bitpar backends build) execute the
+    whole element themselves in O(ops × bound units); everything else
+    gets the dense every-unit walk below, where the bit path is the
+    width-1 word path under background ``(0,)``
+    (:func:`repro.memory.word.step_plan`).
     """
     kernel = getattr(memory, "element_kernel", None)
     if kernel is not None:
@@ -210,16 +211,14 @@ def run_grid(
     dictionary signatures, distinguishing snapshots and BIST
     verification.  Bit runs (background ``None``) walk *memory_size*
     cells, word runs *memory_size* words of *width* bits; a grid is
-    one or the other (:func:`signature_runs`).  The backend resolves
-    once per call: it depends on the instance and geometry only.
+    one or the other (:func:`signature_runs`).
     """
     if not runs:
         return
     word_width = None if runs[0][0] is None else width
-    make = get_backend(resolve_backend(
-        backend, (instance,), memory_size, word_width)).make_memory
     for background, resolution in runs:
-        memory = make(memory_size, instance, word_width)
+        memory = make_memory(
+            memory_size, instance, backend, width=word_width)
         yield run_march(
             test, memory, resolution, background=background), memory
 

@@ -70,12 +70,10 @@ from repro.memory.word import (
 )
 from repro.sim.batch import cached_segment_walks, register_cache
 
-# Backend selection lives in the first-class registry
-# (:mod:`repro.sim.backends`).  The string-dispatch shims that used to
-# sit here (``BACKENDS``, ``resolve_backend``, ``make_memory``,
-# ``sparse_supported``) were deleted in PR 10 after a one-PR
-# deprecation window; ``tests/test_fleet.py::TestShimHygiene`` pins
-# both their absence and the warning-free import of this module.
+# Kernel selection lives in :mod:`repro.sim.backends`; this module
+# keeps no dispatch names of its own
+# (``tests/test_fleet.py::TestShimHygiene`` pins their absence and the
+# warning-free import of this module).
 
 
 def blank_snapshot(
@@ -84,8 +82,8 @@ def blank_snapshot(
     """The packed all-uninitialized snapshot of a fresh memory.
 
     The memory holds *units* units of *width* cells (width 1 on the bit
-    path).  Dense memories pack the full array, O(size); sparse-snapshot
-    memories (:attr:`repro.sim.backends.Backend.sparse_snapshot`) pack
+    path).  Dense memories pack the full array, O(size); the sparse
+    memories (which the sparse and bitpar backends build) pack
     every cell of the units *instance* binds (ascending address order)
     followed by one shared representative per lane -- O(width),
     independent of the memory size.

@@ -28,11 +28,12 @@ FAST = SupervisorPolicy(backoff_base=0.0, timeout=120.0)
 
 
 def alternative_backends():
-    """Every registered backend to pin against the dense oracle.
+    """Every backend to pin against the dense oracle.
 
-    Derived from the live registry, not a hard-coded list: registering
-    a new simulation kernel automatically enrolls it in every
-    differential suite built on :func:`assert_backends_identical`.
+    Derived from :func:`repro.sim.backends.backend_names`, not a
+    hard-coded list: a kernel added to the table is automatically
+    enrolled in every differential suite built on
+    :func:`assert_backends_identical`.
     """
     return tuple(
         name for name in backend_names()
@@ -80,13 +81,12 @@ def assert_backends_identical(
     test, faults, size=3, layout="straddle",
     width=1, backgrounds=None, exhaustive_limit=6, backends=None,
 ):
-    """Pin every registered backend byte-for-byte against the dense
-    oracle.
+    """Pin every backend byte-for-byte against the dense oracle.
 
     Works on both memory models: the bit path (default) and the
     word-oriented path (``width > 1`` or explicit *backgrounds*).
-    *backends* defaults to :func:`alternative_backends` -- the live
-    registry minus ``auto``/``dense``.  Returns the dense report so
+    *backends* defaults to :func:`alternative_backends` -- every
+    selector but ``auto``/``dense``.  Returns the dense report so
     callers can make further assertions.
     """
     if backends is None:

@@ -8,11 +8,11 @@ outcomes -- detections, escape witnesses (instance + resolution +
 background) and ``contexts_simulated`` accounting -- across the
 acceptance matrix FL#1/FL#2 × sizes {3, 5, 64, 256} × both LF3
 layouts × widths {1, 4}, plus hypothesis-random marches, escape-site
-diagnostics and the registry seam it lands behind.
+diagnostics and the kernel table it lands behind.
 
 (The sparse suite's matrix and randomized differentials also run the
 bitpar backend now -- ``assert_backends_identical`` parameterizes over
-the live registry -- so this file focuses on the bitpar-specific
+every backend -- so this file focuses on the bitpar-specific
 surfaces: large sizes, word mode, lane chunking and the batch
 protocol.)
 """
@@ -37,7 +37,7 @@ from repro.march.known import ALL_KNOWN
 from repro.march.test import parse_march
 from repro.sim import backends
 from repro.sim.batch import cached_instances
-from repro.sim.bitpar import MAX_LANES, BitparBatch, BitparMemory
+from repro.sim.bitpar import MAX_LANES, BitparBatch
 from repro.sim.coverage import (
     IncrementalCoverage,
     make_instances,
@@ -256,10 +256,10 @@ class TestBatchMechanics:
         assert len(contexts) > MAX_LANES
         batch = BitparBatch(32, 1, None)
         results = batch.advance_all(contexts, element, 0, (False, True))
-        # Reference: the same advance through single-lane memories.
+        # Reference: the same advance through single sparse memories.
         for ctx, per_direction in zip(contexts, results):
             for descending, outcome in zip((False, True), per_direction):
-                memory = BitparMemory(32, ctx.instance)
+                memory = SparseMemory(32, ctx.instance)
                 memory.load_packed(ctx.snapshot)
                 site = memory.element_kernel(
                     element, 0, descending, None)
@@ -285,17 +285,10 @@ class TestBatchMechanics:
 
 
 # ----------------------------------------------------------------------
-# Registry seam
+# Kernel table seam
 # ----------------------------------------------------------------------
 
 class TestRegistry:
-    def test_bitpar_registered(self):
-        assert "bitpar" in backends.backend_names()
-        entry = backends.get_backend("bitpar")
-        assert entry.batch_granularity == "fault"
-        assert entry.sparse_snapshot
-        assert entry.make_batch is not None
-
     def test_auto_without_hint_never_picks_bitpar(self):
         # Callers that cannot estimate their placement-context count
         # (single-fault construction, make_memory) must stay on the
@@ -310,8 +303,7 @@ class TestRegistry:
         # seeded placement contexts fill at least one 64-lane word
         # amortizes the packing, anything smaller stays sparse.
         faults = fault_list_2()
-        entry = backends.get_backend("bitpar")
-        assert entry.auto_min_placements == MAX_LANES
+        assert backends.BITPAR_AUTO_MIN_PLACEMENTS == MAX_LANES
         assert backends.resolve_backend(
             "auto", faults, 8, placements=MAX_LANES) == "bitpar"
         assert backends.resolve_backend(
@@ -334,6 +326,7 @@ class TestRegistry:
         assert oracle.backend == "bitpar"
         incremental = IncrementalCoverage(fl1, memory_size=8)
         assert incremental.backend == "bitpar"
+        assert isinstance(incremental._batch, BitparBatch)
         # FL#2 seeds ~48 contexts at any size: under one lane word,
         # so auto keeps the sparse kernel there.
         assert CoverageOracle(
@@ -343,22 +336,10 @@ class TestRegistry:
         assert backends.resolve_backend("bitpar") == "bitpar"
         with pytest.raises(ValueError):
             backends.resolve_backend("gpu")
-        with pytest.raises(ValueError):
-            backends.get_backend("auto")
-
-    def test_register_backend_validation(self):
-        with pytest.raises(ValueError):
-            backends.register_backend(
-                "auto", make_memory=lambda *a: None,
-                supports=lambda *a: True)
-        with pytest.raises(ValueError):
-            backends.register_backend(
-                "bogus", make_memory=lambda *a: None,
-                supports=lambda *a: True, batch_granularity="fault")
 
     def test_unified_make_memory_signature(self):
-        # Every backend is selectable purely by registry name, on both
-        # memory models, through one construction seam.
+        # Every backend is selectable purely by name, on both memory
+        # models, through one construction seam.
         fault = make_instances(fp_by_name("SF0"), 8)[0]
         for name in backends.backend_names():
             bit = backends.make_memory(8, fault, name)

@@ -86,7 +86,7 @@ class TestCommands:
             main(["coverage", "March SL", "--fault-list", "nope"])
 
     def test_registry_backend_selectable_by_name(self, capsys):
-        # Any registered backend name works on any command that takes
+        # Any backend name works on any command that takes
         # --backend, with byte-identical output to the default.
         assert main(["coverage", "March ABL1", "--fault-list", "2",
                      "--backend", "bitpar"]) == 0
@@ -135,7 +135,7 @@ class TestErrorPaths:
         ["generate", "--fault-list", "lf1"],
     ])
     def test_unknown_backend_exits_with_known_list(self, command):
-        # Validated against the live registry before any command (or
+        # Validated against the kernel table before any command (or
         # campaign worker fan-out) runs; the message names every
         # accepted selector.
         message = _one_line_exit(command + ["--backend", "gpu"])

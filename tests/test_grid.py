@@ -42,7 +42,7 @@ FLEET_DEMO = (
 
 MARCH_C = known_march("March C-").test
 MATS = known_march("MATS+").test
-#: Every registered backend, dense included.
+#: Every backend, dense included.
 KERNELS = ("dense",) + alternative_backends()
 
 

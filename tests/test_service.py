@@ -445,9 +445,38 @@ class TestQueueAndLimits:
         assert "\n" not in record.error
         assert service.metrics()["jobs_failed"] == 1
         assert service.health()["queue"]["depth"] == 0
-        # The key is free: a resubmission is a new record.
+        # The key is free: a resubmission does not coalesce onto the
+        # failed record, and with no worker left it is refused.
+        with pytest.raises(QueueFull, match="stopped"):
+            service.submit(dict(SMALL_JOB))
+
+    def test_submit_after_stop_is_refused(self):
+        service = QualificationService()
+        finished, _ = service.submit(dict(SMALL_JOB))
+        assert finished.done.wait(timeout=120)
+        service.stop()
+        submitted = service.metrics()["jobs_submitted"]
+        with pytest.raises(QueueFull) as refused:
+            service.submit({**SMALL_JOB, "sizes": [4]})
+        assert "stopped" in str(refused.value)
+        assert "\n" not in str(refused.value)
+        assert service.metrics()["jobs_submitted"] == submitted
+        assert service.health()["queue"]["depth"] == 0
+        # Coalescing onto a finished record is unchanged.
         again, coalesced = service.submit(dict(SMALL_JOB))
-        assert not coalesced and again is not record
+        assert coalesced and again is finished
+
+    def test_submit_after_stop_is_a_503(self):
+        handle = start_service(port=0, rate=1000.0, burst=1000)
+        try:
+            handle.service.stop()
+            with pytest.raises(ServiceError) as refused:
+                ServiceClient(handle.url).submit(dict(SMALL_JOB))
+            assert refused.value.status == 503
+            assert "stopped" in refused.value.message
+            assert "\n" not in refused.value.message
+        finally:
+            handle.stop()
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.sim.engine import escape_sites
 
 WIDTHS = (1, 4, 8)
 SIZES = (3, 16)
-#: Every registered backend, dense included.
+#: Every backend, dense included.
 KERNELS = ("dense",) + alternative_backends()
 
 # A pool mixing every fault family the simulator knows: linked
