@@ -11,7 +11,7 @@ the benchmark harness; this report is the fast, self-checking core.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.compare import build_table1, improvement
 from repro.faults.lists import fault_list_1, fault_list_2
@@ -23,7 +23,11 @@ from repro.march.known import (
     MARCH_LF1,
     MARCH_SL,
 )
-from repro.sim.coverage import CoverageOracle, TargetFault
+from repro.sim.campaign import CoverageCampaign
+from repro.sim.coverage import CoverageReport, TargetFault
+
+#: Coverage reports keyed by ``(known march name, "FL#1" | "FL#2")``.
+KnownReports = Dict[Tuple[str, str], CoverageReport]
 
 
 def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -34,21 +38,30 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def anchor_section(
-    oracle1: CoverageOracle, oracle2: CoverageOracle
-) -> str:
-    """The calibration anchors, evaluated live."""
+def known_reports(
+    faults1: Sequence[TargetFault], faults2: Sequence[TargetFault]
+) -> KnownReports:
+    """Every known march on both fault lists, as one campaign."""
+    result = CoverageCampaign(
+        [known.test for known in ALL_KNOWN.values()],
+        {"FL#1": faults1, "FL#2": faults2}).run()
+    return {(entry.job.test.name, entry.job.fault_list): entry.report
+            for entry in result.entries}
+
+
+def anchor_section(reports: KnownReports) -> str:
+    """The calibration anchors, read off the live campaign."""
     checks = (
-        ("March ABL covers Fault List #1", oracle1, MARCH_ABL, True),
-        ("March ABL1 covers Fault List #2", oracle2, MARCH_ABL1, True),
-        ("March SL covers Fault List #1", oracle1, MARCH_SL, True),
-        ("March LF1 covers Fault List #2", oracle2, MARCH_LF1, True),
-        ("March C- does NOT cover Fault List #1", oracle1,
+        ("March ABL covers Fault List #1", "FL#1", MARCH_ABL, True),
+        ("March ABL1 covers Fault List #2", "FL#2", MARCH_ABL1, True),
+        ("March SL covers Fault List #1", "FL#1", MARCH_SL, True),
+        ("March LF1 covers Fault List #2", "FL#2", MARCH_LF1, True),
+        ("March C- does NOT cover Fault List #1", "FL#1",
          MARCH_C_MINUS, False),
     )
     rows = []
-    for claim, oracle, known, want_complete in checks:
-        report = oracle.evaluate(known.test)
+    for claim, label, known, want_complete in checks:
+        report = reports[known.test.name, label]
         holds = report.complete is want_complete
         rows.append([
             claim,
@@ -59,15 +72,13 @@ def anchor_section(
         ["claim", "measured coverage", "status"], rows)
 
 
-def matrix_section(
-    oracle1: CoverageOracle, oracle2: CoverageOracle
-) -> str:
+def matrix_section(reports: KnownReports) -> str:
     """Known-test coverage matrix on both fault lists."""
     rows = []
     for name in sorted(ALL_KNOWN):
         known = ALL_KNOWN[name]
-        c1 = oracle1.evaluate(known.test).coverage
-        c2 = oracle2.evaluate(known.test).coverage
+        c1 = reports[name, "FL#1"].coverage
+        c2 = reports[name, "FL#2"].coverage
         rows.append([
             name, f"{known.complexity}n",
             f"{100 * c1:.1f}", f"{100 * c2:.1f}",
@@ -119,14 +130,13 @@ def build_report(include_generation: bool = False) -> str:
     """
     started = time.strftime("%Y-%m-%d %H:%M:%S")
     faults1, faults2 = fault_list_1(), fault_list_2()
-    oracle1 = CoverageOracle(faults1)
-    oracle2 = CoverageOracle(faults2)
+    reports = known_reports(faults1, faults2)
     sections = [
         "# Reproduction report — Benso et al., DATE 2006",
         f"Generated {started}; fault lists: "
         f"#1 = {len(faults1)} linked faults, #2 = {len(faults2)}.",
-        anchor_section(oracle1, oracle2),
-        matrix_section(oracle1, oracle2),
+        anchor_section(reports),
+        matrix_section(reports),
     ]
     if include_generation:
         sections.append(table1_section(faults1, faults2))

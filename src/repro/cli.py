@@ -15,22 +15,33 @@ Installed as ``repro-march``::
     repro-march dictionary "March C-" --fault-list 2 --ambiguity
     repro-march diagnose "March C-" --inject "LF1:TFU->SF0" --distinguish
     repro-march fleet fleet.json --store q.sqlite --workers 4
+    repro-march bist "March C-" --json netlist.json --verilog bist.v
     repro-march serve --port 8765 --store q.sqlite  # HTTP job API
     repro-march table1                # reproduce the paper's Table 1
     repro-march figure --which g0     # DOT source of Figure 2 / 4
 
-``campaign``, ``dictionary``, ``fleet`` and ``serve`` all build the
-same frozen :class:`repro.service.jobs.JobSpec` and execute it
-through one :class:`repro.service.jobs.JobRunner`, so a job submitted
-over HTTP returns byte-identical results -- and identical one-line
-error messages -- to the equivalent CLI invocation.
+The job subcommands -- ``campaign``, ``dictionary``, ``diagnose``,
+``fleet`` and ``bist`` -- are each a :class:`repro.service.jobs.JobSpec`
+plus a renderer of its result.  One context manager, :func:`_job`,
+runs the spec through :class:`repro.service.jobs.JobRunner` (the
+runner ``serve`` executes HTTP jobs with) and owns the store, the
+error lines and Ctrl-C, so a job submitted over HTTP returns
+byte-identical results -- and identical one-line error messages --
+to the equivalent CLI invocation: ``campaign``/``fleet``
+``--report-json`` and ``dictionary``/``bist`` ``--json`` write the
+job's served bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import shlex
+import signal
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from repro.analysis.compare import (
     build_table1,
@@ -60,7 +71,12 @@ from repro.faults.operations import quoted
 from repro.march.known import ALL_KNOWN, known_march
 from repro.march.test import parse_march
 from repro.march.wordize import wordize
-from repro.service.jobs import JobRunner, JobSpec, fleet_document_text
+from repro.service.jobs import (
+    JobResult,
+    JobRunner,
+    JobSpec,
+    fleet_document_text,
+)
 from repro.sim.backends import (
     BACKENDS,
     BITPAR_AUTO_MIN_PLACEMENTS,
@@ -68,8 +84,9 @@ from repro.sim.backends import (
     backend_names,
     check_backend,
 )
-from repro.sim.supervisor import CampaignExecutionError
 from repro.sim.coverage import CoverageOracle
+from repro.sim.placements import LF3_LAYOUTS
+from repro.sim.supervisor import CampaignExecutionError
 from repro.store import QualificationStore
 
 
@@ -204,12 +221,41 @@ def _parse_shard(text: Optional[str]):
 
 def _resume_command(args: argparse.Namespace) -> str:
     """The exact command that resumes this interrupted invocation."""
-    import shlex
-
     argv = list(getattr(args, "_argv", None) or [])
     if "--resume" not in argv:
         argv.append("--resume")
     return shlex.join(["repro-march"] + argv)
+
+
+def _write(path: Optional[str], data: Union[str, bytes], what: str) -> None:
+    """Write the artifact *data* to *path*, when one was given."""
+    if path:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as out:
+            out.write(data)
+        print(f"{what} written to {path}")
+
+
+def _open_store(path: str) -> QualificationStore:
+    """Open (or create) the store at *path*; one-line error."""
+    try:
+        return QualificationStore(path)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
+@contextmanager
+def _store_at(path: Optional[str]) -> Iterator[Optional[QualificationStore]]:
+    """The ``--store`` database, if any, closed on every exit.
+
+    Closing checkpoints the WAL into the main file, so the store is
+    one self-contained artifact.
+    """
+    store = None if path is None else _open_store(path)
+    try:
+        yield store
+    finally:
+        if store is not None:
+            store.close()
 
 
 def _job_spec(kind: str, args: argparse.Namespace,
@@ -225,17 +271,72 @@ def _job_spec(kind: str, args: argparse.Namespace,
             kind=kind,
             backend=args.backend,
             workers=args.workers,
-            timeout=getattr(args, "timeout", None),
-            chaos=getattr(args, "chaos", None),
+            timeout=args.timeout,
+            chaos=args.chaos,
             **fields,
         )
     except ValueError as error:
         raise SystemExit(str(error))
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    import os
+def _single_spec(kind: str, args: argparse.Namespace) -> JobSpec:
+    """The spec of a one-test, one-geometry job (dictionary, bist)."""
+    return _job_spec(
+        kind, args,
+        tests=(args.test,),
+        fault_lists=(args.fault_list,),
+        memory_sizes=(args.size,),
+        lf3_layouts=(args.lf3_layout,),
+        **_word_kwargs(args),
+    )
 
+
+@contextmanager
+def _job(
+    spec: JobSpec, args: argparse.Namespace,
+) -> Iterator[Tuple[JobResult, Optional[QualificationStore]]]:
+    """Run *spec* against ``--store``; yield ``(job result, store)``.
+
+    The one execution path of the job subcommands.  The store stays
+    open for the ``with`` body and closes on every exit.  A run-time
+    ``ValueError`` exits with the spec's ``invalid <kind>:`` line and
+    a :class:`CampaignExecutionError` with its own; Ctrl-C, in the
+    run or in the body, exits 130 after naming the store that holds
+    the checkpointed work and the command that resumes it.
+    """
+    if getattr(args, "resume", False):
+        if not args.store:
+            raise SystemExit("--resume requires --store PATH")
+        if not os.path.exists(args.store):
+            raise SystemExit(
+                f"--resume: store {args.store!r} does not exist (an "
+                f"interrupted run would have left one behind)")
+    try:
+        with _store_at(args.store) as store:
+            try:
+                job = JobRunner(store=store).run(spec)
+            except ValueError as error:
+                raise SystemExit(str(spec.error(error)))
+            except CampaignExecutionError as error:
+                raise SystemExit(str(error))
+            yield job, store
+    except KeyboardInterrupt:
+        print()
+        if args.store is None:
+            print("interrupted: no --store attached, progress was "
+                  "not persisted")
+        else:
+            print(f"interrupted: completed work is checkpointed in "
+                  f"{args.store!r}")
+            # Only campaign and fleet take --resume; the others
+            # resume from the store by running the same command.
+            command = (_resume_command(args) if hasattr(args, "resume")
+                       else shlex.join(["repro-march", *args._argv]))
+            print(f"resume with: {command}")
+        raise SystemExit(130)
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
     # Eager selection checks keep the historical messages: --tests
     # must be *known* names (never notation), --notation must parse.
     for name in args.tests or ():
@@ -246,13 +347,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not tests:
         # No explicit selection: qualify every known march test.
         tests = list(ALL_KNOWN)
-    if args.resume:
-        if not args.store:
-            raise SystemExit("--resume requires --store PATH")
-        if not os.path.exists(args.store):
-            raise SystemExit(
-                f"--resume: store {args.store!r} does not exist (an "
-                f"interrupted run would have left one behind)")
     spec = _job_spec(
         "campaign", args,
         tests=tuple(tests),
@@ -262,47 +356,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         shard=_parse_shard(args.shard),
         **_word_kwargs(args),
     )
-    store = _open_optional_store(args.store)
-    try:
-        result = JobRunner(store=store).run(spec).result
-    except KeyboardInterrupt:
-        # Completed chunks were checkpointed as they landed; close
-        # the store (WAL checkpoint) so they are durable, then hand
-        # the user the exact resume command.
-        print()
-        if store is not None:
-            store.close()
-            print(f"interrupted: completed work is checkpointed in "
-                  f"{args.store!r}")
-            print(f"resume with: {_resume_command(args)}")
-        else:
-            print("interrupted: no --store attached, progress was "
-                  "not persisted")
-        return 130
-    except CampaignExecutionError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(str(error))
-    print(result.render())
-    print(result.summary())
-    if args.verbose:
-        for entry in result.entries:
-            for fault in entry.report.escaped_faults:
-                print(f"  escape [{entry.job.describe()}]: {fault.name}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(result.to_json() + "\n")
-        print(f"campaign report written to {args.json}")
-    if args.report_json:
-        with open(args.report_json, "w") as handle:
-            handle.write(result.report_json() + "\n")
-        print(f"deterministic report written to {args.report_json}")
-    if store is not None:
-        # Checkpoints the WAL into the main database file, so the
-        # store is a single self-contained artifact (CI uploads bare
-        # *.sqlite paths).
-        store.close()
-    return 0 if result.complete else 1
+    with _job(spec, args) as (job, _):
+        result = job.result
+        print(result.render())
+        print(job.summary)
+        if args.verbose:
+            for entry in result.entries:
+                for fault in entry.report.escaped_faults:
+                    print(f"  escape [{entry.job.describe()}]: "
+                          f"{fault.name}")
+        _write(args.json, result.to_json() + "\n", "campaign report")
+        _write(args.report_json, job.report_bytes, "deterministic report")
+    return 0 if job.ok else 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -313,82 +378,30 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.orders:
         allowed_orders = tuple(
             parse_address_order(marker) for marker in args.orders)
-    try:
-        generator = MarchGenerator(
-            faults,
-            name=args.name,
-            lf3_layout=args.lf3_layout,
-            use_walker=not args.no_walker,
-            use_shapes=not args.no_shapes,
-            prune=not args.no_prune,
-            allowed_orders=allowed_orders,
-            workers=args.workers,
-            backend=args.backend,
-            store=args.store,
-            **_word_kwargs(args),
-        )
-    except ValueError as error:
-        raise SystemExit(f"invalid generator configuration: {error}")
-    result = generator.generate()
+    with _store_at(args.store) as store:
+        try:
+            generator = MarchGenerator(
+                faults,
+                name=args.name,
+                lf3_layout=args.lf3_layout,
+                use_walker=not args.no_walker,
+                use_shapes=not args.no_shapes,
+                prune=not args.no_prune,
+                allowed_orders=allowed_orders,
+                workers=args.workers,
+                backend=args.backend,
+                store=store,
+                **_word_kwargs(args),
+            )
+        except ValueError as error:
+            raise SystemExit(f"invalid generator configuration: {error}")
+        result = generator.generate()
     print(result.describe())
     if args.verbose:
         print("unpruned:", result.unpruned.describe())
         for step in result.trace:
             print("  ", step)
-    if generator.store is not None:
-        generator.store.close()  # checkpoint WAL into the main file
     return 0 if result.complete else 1
-
-
-def _open_optional_store(path):
-    """Open (or create) a ``--store`` database; one-line error."""
-    if path is None:
-        return None
-    try:
-        return QualificationStore(path)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _build_cli_dictionary(args: argparse.Namespace):
-    """The fault dictionary a diagnosis subcommand operates on.
-
-    Returns ``(dictionary, store)``; the caller closes the store
-    (checkpointing the WAL into the main file) when one was opened.
-    """
-    spec = _job_spec(
-        "dictionary", args,
-        tests=(args.test,),
-        fault_lists=(args.fault_list,),
-        memory_sizes=(args.size,),
-        lf3_layouts=(args.lf3_layout,),
-        **_word_kwargs(args),
-    )
-    store = _open_optional_store(args.store)
-    try:
-        dictionary = JobRunner(store=store).run(spec).result
-    except ValueError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(f"invalid dictionary build: {error}")
-    except KeyboardInterrupt:
-        # Finished signature rows were recorded incrementally;
-        # checkpoint them and point at the warm-resume property.
-        print()
-        if store is not None:
-            store.close()
-            print(f"interrupted: completed signature rows are "
-                  f"checkpointed in {args.store!r}; re-running the "
-                  f"same command resumes without re-simulating them")
-        else:
-            print("interrupted: no --store attached, progress was "
-                  "not persisted")
-        raise SystemExit(130)
-    except CampaignExecutionError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(str(error))
-    return dictionary, store
 
 
 def _cmd_dictionary(args: argparse.Namespace) -> int:
@@ -398,24 +411,15 @@ def _cmd_dictionary(args: argparse.Namespace) -> int:
     )
     from repro.diagnosis import ambiguity_report
 
-    dictionary, store = _build_cli_dictionary(args)
-    try:
+    with _job(_single_spec("dictionary", args), args) as (job, _):
+        dictionary = job.result
         report = ambiguity_report(dictionary)
         print(render_dictionary_summary(dictionary, report))
         if args.ambiguity:
             print(render_ambiguity_table(report, limit=args.limit))
-        if args.json:
-            with open(args.json, "w") as handle:
-                handle.write(dictionary.to_json() + "\n")
-            print(f"dictionary written to {args.json}")
-        if args.ambiguity_json:
-            with open(args.ambiguity_json, "w") as handle:
-                handle.write(report.to_json() + "\n")
-            print(f"ambiguity report written to "
-                  f"{args.ambiguity_json}")
-    finally:
-        if store is not None:
-            store.close()  # checkpoint WAL into the main file
+        _write(args.json, job.report_bytes, "dictionary")
+        _write(args.ambiguity_json, report.to_json() + "\n",
+               "ambiguity report")
     return 0
 
 
@@ -451,25 +455,20 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         signature_str,
     )
 
-    dictionary, store = _build_cli_dictionary(args)
-    try:
+    with _job(_single_spec("dictionary", args), args) as (job, store):
+        dictionary = job.result
         signature = _observed_signature(args, dictionary)
         cls = diagnose(dictionary, signature)
-        if args.json:
-            import json as json_module
-
-            document = {
-                "signature": signature_str(signature),
-                "matched": cls is not None,
-            }
-            if cls is not None:
-                document["class_size"] = cls.size
-                document["faults"] = sorted(cls.fault_names)
-            with open(args.json, "w") as handle:
-                handle.write(json_module.dumps(
-                    document, sort_keys=True,
-                    separators=(",", ":")) + "\n")
-            print(f"diagnosis written to {args.json}")
+        document = {
+            "signature": signature_str(signature),
+            "matched": cls is not None,
+        }
+        if cls is not None:
+            document["class_size"] = cls.size
+            document["faults"] = sorted(cls.fault_names)
+        _write(args.json, json.dumps(
+            document, sort_keys=True, separators=(",", ":")) + "\n",
+            "diagnosis")
         if cls is None:
             print(f"signature [{signature_str(signature)}] matches "
                   f"no modelled fault placement in this dictionary")
@@ -523,45 +522,26 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             if args.verbose:
                 for step in result.trace:
                     print("  ", step)
-    finally:
-        if store is not None:
-            store.close()  # checkpoint WAL into the main file
     return 0
 
 
 def _cmd_bist(args: argparse.Namespace) -> int:
-    spec = _job_spec(
-        "bist", args,
-        tests=(args.test,),
-        fault_lists=(args.fault_list,),
-        memory_sizes=(args.size,),
-        lf3_layouts=(args.lf3_layout,),
-        **_word_kwargs(args),
-    )
     # BIST jobs always verify: the netlist the CLI (and the service)
     # hands out is proven trace-equivalent to the direct march run.
-    job = JobRunner().run(spec)
-    program, verification = job.result
-    print(program.describe())
-    print(f"netlist sha256: {program.netlist_sha256()}")
-    print(job.summary)
-    if args.verbose and verification.mismatches:
-        for mismatch in verification.mismatches:
-            print(f"  mismatch: {mismatch}")
-    if args.json:
-        with open(args.json, "wb") as handle:
-            handle.write(job.report_bytes)
-        print(f"bist netlist written to {args.json}")
-    if args.verilog:
-        with open(args.verilog, "w") as handle:
-            handle.write(program.to_verilog() + "\n")
-        print(f"verilog written to {args.verilog}")
+    with _job(_single_spec("bist", args), args) as (job, _):
+        program, verification = job.result
+        print(program.describe())
+        print(f"netlist sha256: {program.netlist_sha256()}")
+        print(job.summary)
+        if args.verbose and verification.mismatches:
+            for mismatch in verification.mismatches:
+                print(f"  mismatch: {mismatch}")
+        _write(args.json, job.report_bytes, "bist netlist")
+        _write(args.verilog, program.to_verilog() + "\n", "verilog")
     return 0 if job.ok else 1
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import os
-
     from repro.diagnosis import load_fleet_spec
 
     try:
@@ -575,13 +555,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         raise SystemExit(
             "no march test selected: pass --test or set 'march' in "
             "the fleet spec")
-    if args.resume:
-        if not args.store:
-            raise SystemExit("--resume requires --store PATH")
-        if not os.path.exists(args.store):
-            raise SystemExit(
-                f"--resume: store {args.store!r} does not exist (an "
-                f"interrupted run would have left one behind)")
     spec = _job_spec(
         "fleet", args,
         tests=(march,),
@@ -589,56 +562,24 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.fault_list or fleet_spec.fault_list or "2",),
         fleet=fleet_document_text(fleet_spec),
     )
-    store = _open_optional_store(args.store)
-    try:
-        report = JobRunner(store=store).run(spec).result
-    except ValueError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(f"invalid fleet run: {error}")
-    except KeyboardInterrupt:
-        # Finished signature rows were checkpointed per fault; close
-        # the store (WAL checkpoint) and hand back the exact resume
-        # command, mirroring the campaign interrupt path.
-        print()
-        if store is not None:
-            store.close()
-            print(f"interrupted: completed signature rows are "
-                  f"checkpointed in {args.store!r}")
-            print(f"resume with: {_resume_command(args)}")
-        else:
-            print("interrupted: no --store attached, progress was "
-                  "not persisted")
-        return 130
-    except CampaignExecutionError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(str(error))
-    print(report.render())
-    if args.verbose:
-        for row in report.report_dict()["geometries"]:
-            backgrounds = row["backgrounds"]
-            word = "" if backgrounds is None else (
-                f" x{row['width']} [{', '.join(backgrounds)}]")
-            print(f"  geometry size {row['memory_size']}{word} "
-                  f"({row['lf3_layout']}): "
-                  f"{len(row['instances'])} instance(s), "
-                  f"{row['classes']} class(es), "
-                  f"resolution {row['resolution']:.3f}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            import json as json_module
-            handle.write(
-                json_module.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"fleet report written to {args.json}")
-    if args.report_json:
-        with open(args.report_json, "w") as handle:
-            handle.write(report.report_json() + "\n")
-        print(f"deterministic fleet report written to "
-              f"{args.report_json}")
-    if store is not None:
-        store.close()  # checkpoint WAL into the main file
-    return 0 if report.all_diagnosed else 1
+    with _job(spec, args) as (job, _):
+        report = job.result
+        print(report.render())
+        if args.verbose:
+            for row in report.report_dict()["geometries"]:
+                backgrounds = row["backgrounds"]
+                word = "" if backgrounds is None else (
+                    f" x{row['width']} [{', '.join(backgrounds)}]")
+                print(f"  geometry size {row['memory_size']}{word} "
+                      f"({row['lf3_layout']}): "
+                      f"{len(row['instances'])} instance(s), "
+                      f"{row['classes']} class(es), "
+                      f"resolution {row['resolution']:.3f}")
+        _write(args.json, json.dumps(report.to_dict(), indent=2) + "\n",
+               "fleet report")
+        _write(args.report_json, job.report_bytes,
+               "deterministic fleet report")
+    return 0 if job.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -660,27 +601,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except (OSError, ValueError) as error:
         raise SystemExit(f"cannot start service: {error}")
-    print(f"serving qualification jobs on {handle.url}")
-    print(f"  POST {handle.url}/jobs "
-          f"(campaign | dictionary | fleet | bist specs)")
-    print(f"  GET  {handle.url}/jobs/{{id}}  "
-          f"/jobs/{{id}}/result  /healthz  /store/stats")
-    store_note = args.store or "(none: in-flight coalescing only)"
-    print(f"  store: {store_note}  job workers: {args.job_workers}  "
-          f"sim workers/job: {args.workers}")
-    if args.json:
-        import json as json_module
-        import os
-
-        with open(args.json, "w") as out:
-            out.write(json_module.dumps({
-                "url": handle.url,
-                "host": handle.host,
-                "port": handle.port,
-                "pid": os.getpid(),
-            }) + "\n")
-        print(f"service info written to {args.json}")
+    # However serve was launched -- a backgrounded shell job inherits
+    # SIGINT ignored -- SIGINT and SIGTERM both reach the drain below.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     try:
+        print(f"serving qualification jobs on {handle.url}")
+        print(f"  POST {handle.url}/jobs "
+              f"(campaign | dictionary | fleet | bist specs)")
+        print(f"  GET  {handle.url}/jobs/{{id}}  "
+              f"/jobs/{{id}}/result  /healthz  /store/stats")
+        store_note = args.store or "(none: in-flight coalescing only)"
+        print(f"  store: {store_note}  job workers: {args.job_workers}  "
+              f"sim workers/job: {args.workers}")
+        _write(args.json, json.dumps({
+            "url": handle.url,
+            "host": handle.host,
+            "port": handle.port,
+            "pid": os.getpid(),
+        }) + "\n", "service info")
         while handle.thread.is_alive():
             handle.thread.join(1.0)
     except KeyboardInterrupt:
@@ -708,33 +647,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     text = build_report(include_generation=args.generate)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"report written to {args.output}")
+        _write(args.output, text, "report")
     else:
         print(text)
     return 0
 
 
 def _open_existing_store(path: str) -> QualificationStore:
-    import os
-
     if not os.path.exists(path):
         raise SystemExit(f"qualification store {path!r} does not exist")
-    try:
-        return QualificationStore(path)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    return _open_store(path)
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    import json as json_module
-
     store = _open_existing_store(args.store)
     stats = store.stats()
     store.close()
     if args.json:
-        print(json_module.dumps(stats, indent=2))
+        print(json.dumps(stats, indent=2))
         return 0
     print(f"store {stats['path']}")
     print(f"  rows: {stats['rows']} "
@@ -751,10 +681,7 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
     # typo in the third path must not leave a half-merged destination
     # behind (atomic-or-no-op).
     sources = [_open_existing_store(path) for path in args.sources]
-    try:
-        destination = QualificationStore(args.destination)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    destination = _open_store(args.destination)
     total = 0
     for path, source in zip(args.sources, sources):
         added = destination.merge(source)
@@ -777,15 +704,11 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_export(args: argparse.Namespace) -> int:
-    import json as json_module
-
     store = _open_existing_store(args.store)
-    text = json_module.dumps(store.export(), indent=2)
+    text = json.dumps(store.export(), indent=2)
     store.close()
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"store exported to {args.output}")
+        _write(args.output, text + "\n", "store export")
     else:
         print(text)
     return 0
@@ -901,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("test", help='e.g. "March SL"')
     coverage.add_argument("--fault-list", default="1")
     coverage.add_argument("--lf3-layout", default="straddle",
-                          choices=("straddle", "all"))
+                          choices=LF3_LAYOUTS)
     _add_backend_argument(coverage)
     _add_word_arguments(coverage)
     coverage.add_argument("--verbose", action="store_true")
@@ -913,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         "notation", help='e.g. "c(w0) U(r0,w1) D(r1,w0)"')
     simulate.add_argument("--fault-list", default="1")
     simulate.add_argument("--lf3-layout", default="straddle",
-                          choices=("straddle", "all"))
+                          choices=LF3_LAYOUTS)
     _add_backend_argument(simulate)
     _add_word_arguments(simulate)
     simulate.add_argument("--verbose", action="store_true")
@@ -924,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--fault-list", default="1")
     generate.add_argument("--name", default="generated march")
     generate.add_argument("--lf3-layout", default="straddle",
-                          choices=("straddle", "all"))
+                          choices=LF3_LAYOUTS)
     generate.add_argument("--no-walker", action="store_true",
                           help="disable pattern-graph walk proposals")
     generate.add_argument("--no-shapes", action="store_true",
@@ -978,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated memory sizes to sweep (default: 3)")
     campaign.add_argument(
         "--lf3-layouts", nargs="+", default=["straddle"],
-        choices=("straddle", "all"),
+        choices=LF3_LAYOUTS,
         help="three-cell placement policies to sweep")
     campaign.add_argument(
         "--report-json", metavar="PATH",
@@ -1013,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="simulated memory size (words in word mode; "
                  "default 3)")
         parser.add_argument("--lf3-layout", default="straddle",
-                            choices=("straddle", "all"))
+                            choices=LF3_LAYOUTS)
         _add_word_arguments(parser)
         parser.add_argument("--verbose", action="store_true")
 
@@ -1148,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification memory size (words in word mode; "
              "default 3)")
     bist.add_argument("--lf3-layout", default="straddle",
-                      choices=("straddle", "all"))
+                      choices=LF3_LAYOUTS)
     _add_word_arguments(bist)
     bist.add_argument(
         "--verilog", metavar="PATH",
@@ -1243,7 +1166,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = sub.add_parser(
         "matrix", help="coverage matrix of all known tests")
     matrix.add_argument("--lf3-layout", default="straddle",
-                        choices=("straddle", "all"))
+                        choices=LF3_LAYOUTS)
     matrix.set_defaults(func=_cmd_matrix)
 
     report = sub.add_parser(

@@ -216,8 +216,10 @@ class MarchGenerator:
             path) for *cross-run* memoization.  Two seams benefit:
             every committed march *prefix* is recorded as a complete
             qualification (extracted from the live incremental oracle,
-            no extra simulation), and the final qualification is
-            content-addressed.  Pruner candidates are neither served
+            no extra simulation) that a
+            :class:`~repro.sim.campaign.CoverageCampaign` cell of that
+            march replays, and the final qualification is such a
+            campaign.  Pruner candidates are neither served
             from nor recorded into the store: the pruning guard
             resumes each one from its own checkpoints instead of
             qualifying it.  The generated test is identical with or
@@ -528,10 +530,11 @@ class MarchGenerator:
         via :attr:`IncrementalCoverage.committed_contexts` -- the
         exact context count a from-scratch run would report, probes
         excluded), so recording it into the store costs no extra
-        simulation.  Any later :func:`repro.sim.coverage.qualify_test`
-        of an equivalent march against the same fault list and
-        geometry -- a re-run of this generator, a campaign over
-        generated tests -- is then a pure store hit.
+        simulation.  Any later
+        :class:`~repro.sim.campaign.CoverageCampaign` cell of an
+        equivalent march against the same fault list and geometry --
+        this generator's own final qualification on a re-run, a
+        campaign over generated tests -- is then a pure store hit.
         """
         if self.store is None:
             return

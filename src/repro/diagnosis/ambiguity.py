@@ -175,14 +175,6 @@ class AmbiguityReport:
                 impure.update(names)
         return [name for name in order if name not in impure]
 
-    def largest_class(self) -> Optional[AmbiguityClass]:
-        """The biggest class (first wins ties); ``None`` when empty."""
-        best: Optional[AmbiguityClass] = None
-        for cls in self.classes:
-            if best is None or cls.size > best.size:
-                best = cls
-        return best
-
     def to_dict(self) -> dict:
         """Deterministic JSON form (classes in partition order)."""
         return {

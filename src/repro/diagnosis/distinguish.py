@@ -95,11 +95,6 @@ class DistinguishResult:
     seconds: float
     pruned_operations: int = 0
 
-    @property
-    def improved(self) -> bool:
-        """Did the suffix raise the diagnostic resolution?"""
-        return self.after.resolution > self.before.resolution
-
     def describe(self) -> str:
         suffix = " ".join(el.notation() for el in self.suffix) or "(empty)"
         return (

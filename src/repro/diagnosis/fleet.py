@@ -49,11 +49,9 @@ from repro.diagnosis.dictionary import (
 )
 from repro.sim.chaos import ChaosSpec
 from repro.sim.coverage import TargetFault, fault_name
+from repro.sim.placements import LF3_LAYOUTS
 from repro.sim.supervisor import SupervisorPolicy
 from repro.store import QualificationStore
-
-#: Accepted lf3 placement layouts (mirrors the CLI choices).
-LF3_LAYOUTS = ("straddle", "all")
 
 
 @dataclass(frozen=True)
@@ -476,6 +474,20 @@ class FleetReport:
         return "\n".join(lines)
 
 
+def check_injections(
+    fleet: FleetSpec, faults: Sequence[TargetFault]
+) -> None:
+    """Raise a one-line ``ValueError`` when an instance of *fleet*
+    injects a fault that is not in *faults*."""
+    names = {fault_name(f) for f in faults}
+    for instance in fleet.instances:
+        if instance.failing and instance.inject not in names:
+            raise ValueError(
+                f"instance {instance.instance_id!r} injects "
+                f"{instance.inject!r}, "
+                f"which is not in the fault list ({len(names)} fault(s))")
+
+
 def diagnose_fleet(
     test: MarchTest,
     faults: Sequence[TargetFault],
@@ -506,13 +518,8 @@ def diagnose_fleet(
             everything :func:`build_dictionaries` raises.
     """
     faults = list(faults)
+    check_injections(fleet, faults)
     names = [fault_name(f) for f in faults]
-    for instance in fleet.instances:
-        if instance.failing and instance.inject not in names:
-            raise ValueError(
-                f"instance {instance.instance_id!r} injects "
-                f"{instance.inject!r}, which is not in the fault "
-                f"list ({len(names)} fault(s))")
     dictionaries = build_dictionaries(
         test, faults, fleet.geometries(),
         exhaustive_limit=exhaustive_limit,

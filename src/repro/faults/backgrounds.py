@@ -294,8 +294,3 @@ def _cached_word_instances(
         fault,
         word_role_placements(fault.cells, words, width, lf3_layout))
 
-
-#: Caches registered with :func:`repro.sim.batch.clear_caches` by
-#: :mod:`repro.sim.coverage` (the module that makes them hot) -- see
-#: the import note at the top of this module.
-WORD_CACHES = (_cached_word_instances,)

@@ -236,11 +236,4 @@ def fps_by_names(names: Iterable[str]) -> Tuple[FaultPrimitive, ...]:
     return tuple(fp_by_name(n) for n in names)
 
 
-def dynamic_members(ffm: FaultClass) -> Tuple[FaultPrimitive, ...]:
-    """Return the dynamic FPs of family *ffm* (dRDF, dCFds, ...)."""
-    from repro.faults.dynamic import ALL_DYNAMIC_FPS
-
-    return tuple(fp for fp in ALL_DYNAMIC_FPS if fp.ffm is ffm)
-
-
 _register_dynamic()

@@ -203,15 +203,3 @@ def parse_operation(text: str) -> Operation:
     if head == "r":
         return read(value, cell)
     raise ValueError(f"invalid operation literal {quoted(text)}")
-
-
-#: The sensitizing operations available on a single cell, in a canonical
-#: order: the four writes (from each initial state) and the two
-#: non-destructive reads.  These are the ``m = 1`` stimuli that define
-#: *static* faults.
-W0 = write(0)
-W1 = write(1)
-R0 = read(0)
-R1 = read(1)
-R_ANY = read(None)
-T = wait()

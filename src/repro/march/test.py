@@ -48,11 +48,6 @@ class MarchTest:
         """Total operations per cell: the ``k`` of a ``kn`` march test."""
         return sum(len(el) for el in self.elements)
 
-    @property
-    def operation_count(self) -> int:
-        """Alias of :attr:`complexity` (operations applied per cell)."""
-        return self.complexity
-
     def __len__(self) -> int:
         """Number of march elements."""
         return len(self.elements)

@@ -254,11 +254,6 @@ def lane_operations(
     return tuple(mapped)
 
 
-#: Caches registered with :func:`repro.sim.batch.clear_caches` by
-#: :mod:`repro.sim.coverage` -- see the import note above.
-WORD_CACHES = (step_plan, lane_operations)
-
-
 # ----------------------------------------------------------------------
 # The unit visit
 # ----------------------------------------------------------------------

@@ -41,6 +41,7 @@ from typing import Optional, Tuple, Union
 from repro.diagnosis.dictionary import build_dictionary
 from repro.diagnosis.fleet import (
     FleetSpec,
+    check_injections,
     diagnose_fleet,
     parse_fleet_spec,
 )
@@ -50,10 +51,14 @@ from repro.faults.operations import quoted
 from repro.march.known import known_march
 from repro.march.test import MarchTest, parse_march
 from repro.sim.backends import check_backend
-from repro.sim.campaign import CoverageCampaign
+from repro.sim.campaign import (
+    CoverageCampaign,
+    check_geometry,
+    check_shard,
+)
 from repro.sim.chaos import parse_chaos
-from repro.sim.coverage import fault_name, normalize_word_mode
-from repro.sim.placements import DEFAULT_MEMORY_SIZE, LF3_LAYOUTS
+from repro.sim.coverage import normalize_word_mode
+from repro.sim.placements import DEFAULT_MEMORY_SIZE
 from repro.sim.supervisor import SupervisorPolicy
 from repro.store import QualificationStore, fault_list_id
 from repro.store.keys import (
@@ -213,7 +218,8 @@ class JobSpec:
                 f"choose from {', '.join(JOB_KINDS)}")
         self._validate()
 
-    def _error(self, detail) -> ValueError:
+    def error(self, detail) -> ValueError:
+        """*detail* as this kind's one-line ``invalid <kind>:`` error."""
         return ValueError(
             f"invalid {_ERROR_LABEL[self.kind]}: {detail}")
 
@@ -223,14 +229,14 @@ class JobSpec:
         check_backend(self.backend)
         if not self.tests or not all(
                 isinstance(t, str) and t.strip() for t in self.tests):
-            raise self._error(
+            raise self.error(
                 "at least one march test (a known name or notation) "
                 "is required")
         for text in self.tests:
             resolve_test(text)
         if not self.fault_lists or not all(
                 isinstance(f, str) for f in self.fault_lists):
-            raise self._error("at least one fault list is required")
+            raise self.error("at least one fault list is required")
         for label in self.fault_lists:
             try:
                 _faults(label)
@@ -241,61 +247,38 @@ class JobSpec:
             width, backgrounds = normalize_word_mode(
                 self.width, self.backgrounds_spec())
         except ValueError as error:
-            raise self._error(error) from None
+            raise self.error(error) from None
         try:
             _require_positive_int(
                 self.exhaustive_limit, "exhaustive_limit")
             _require_positive_int(self.workers, "workers")
         except ValueError as error:
-            raise self._error(error) from None
+            raise self.error(error) from None
         if self.timeout is not None and (
                 not isinstance(self.timeout, (int, float))
                 or isinstance(self.timeout, bool)
                 or self.timeout <= 0):
-            raise self._error("timeout must be positive (or None)")
+            raise self.error("timeout must be positive (or None)")
         if self.chaos is not None:
             try:
                 parse_chaos(self.chaos)
             except (ValueError, TypeError) as error:
-                raise self._error(error) from None
+                raise self.error(error) from None
+        if self.shard is not None and self.kind != "campaign":
+            raise self.error("shard only applies to campaign jobs")
         if self.kind == "fleet":
             self._validate_fleet()
             return
         if self.fleet is not None:
-            raise self._error(
+            raise self.error(
                 "a fleet document only applies to fleet jobs")
-        for layout in self.lf3_layouts:
-            if layout not in LF3_LAYOUTS:
-                raise self._error(
-                    f"unknown LF3 layout {layout!r}; "
-                    f"choose from {LF3_LAYOUTS}")
-        if not self.memory_sizes:
-            raise self._error("at least one memory size is required")
-        for size in self.memory_sizes:
-            if not isinstance(size, int) or isinstance(size, bool) \
-                    or size < 1:
-                raise self._error(
-                    f"memory size {size} must be positive")
-            for label in self.fault_lists:
-                widest = max(f.cells for f in _faults(label))
-                if size < widest and width < widest:
-                    raise self._error(
-                        f"memory size {size} cannot host the "
-                        f"{widest}-cell faults of list {label!r}")
-        if self.shard is not None:
-            if self.kind != "campaign":
-                raise self._error(
-                    "shard only applies to campaign jobs")
-            try:
-                index, count = self.shard
-            except (TypeError, ValueError):
-                raise self._error(
-                    "shard must be an (index, count) pair") from None
-            if not isinstance(index, int) or not isinstance(count, int) \
-                    or count < 1 or not 1 <= index <= count:
-                raise self._error(
-                    f"shard index must satisfy 1 <= index <= count, "
-                    f"got {index}/{count}")
+        try:
+            check_geometry(
+                {label: _faults(label) for label in self.fault_lists},
+                self.memory_sizes, self.lf3_layouts, width)
+            check_shard(self.shard)
+        except ValueError as error:
+            raise self.error(error) from None
         if self.kind in ("dictionary", "bist"):
             article = ("a dictionary" if self.kind == "dictionary"
                        else "a bist")
@@ -305,34 +288,30 @@ class JobSpec:
                     ("memory size", self.memory_sizes),
                     ("lf3 layout", self.lf3_layouts)):
                 if len(values) != 1:
-                    raise self._error(
+                    raise self.error(
                         f"{article} job takes exactly one {what}, "
                         f"got {len(values)}")
 
     def _validate_fleet(self) -> None:
         if len(self.tests) != 1 or len(self.fault_lists) != 1:
-            raise self._error(
+            raise self.error(
                 "a fleet job takes exactly one march test and one "
                 "fault list")
         if not isinstance(self.fleet, str) or not self.fleet.strip():
-            raise self._error(
+            raise self.error(
                 "a fleet job needs a 'fleet' document (the canonical "
                 "JSON of a fleet spec)")
-        if self.shard is not None:
-            raise self._error("shard only applies to campaign jobs")
         fleet = self._fleet_spec()
-        names = {fault_name(f) for f in _faults(self.fault_lists[0])}
+        try:
+            check_injections(fleet, _faults(self.fault_lists[0]))
+        except ValueError as error:
+            raise self.error(error) from None
         for instance in fleet.instances:
-            if instance.failing and instance.inject not in names:
-                raise self._error(
-                    f"instance {instance.instance_id!r} injects "
-                    f"{instance.inject!r}, which is not in the fault "
-                    f"list ({len(names)} fault(s))")
             try:
                 normalize_word_mode(
                     instance.width, instance.backgrounds)
             except ValueError as error:
-                raise self._error(
+                raise self.error(
                     f"instance {instance.instance_id!r}: "
                     f"{error}") from None
 
@@ -340,12 +319,12 @@ class JobSpec:
         try:
             data = json.loads(self.fleet)
         except ValueError as error:
-            raise self._error(
+            raise self.error(
                 f"fleet document is not valid JSON: {error}") from None
         try:
             return parse_fleet_spec(data)
         except ValueError as error:
-            raise self._error(error) from None
+            raise self.error(error) from None
 
     # ------------------------------------------------------------------
     # Derived views

@@ -156,33 +156,6 @@ def cached_segment_walks(
     return tuple(ascending), tuple(descending)
 
 
-#: Memoized callables registered by higher layers (e.g. the sparse
-#: kernel's trajectory cache) so :func:`clear_caches` can drop them
-#: without this module importing upward.
-_REGISTERED_CACHES: List = []
-
-
-def register_cache(cached_callable) -> None:
-    """Register an ``lru_cache``-wrapped callable with clear_caches."""
-    _REGISTERED_CACHES.append(cached_callable)
-
-
-def clear_caches() -> None:
-    """Drop every memoized placement/resolution/instance binding.
-
-    The module-level caches are unbounded (the standard geometry space
-    is tiny); long-lived processes sweeping many distinct faults or
-    memory sizes can call this to release them.  Safe at any point:
-    live oracles keep references to the instances they already hold.
-    """
-    cached_role_placements.cache_clear()
-    cached_order_resolutions.cache_clear()
-    cached_instances.cache_clear()
-    cached_segment_walks.cache_clear()
-    for cached_callable in _REGISTERED_CACHES:
-        cached_callable.cache_clear()
-
-
 def chunked(items: Sequence[_T], size: int) -> Iterator[List[_T]]:
     """Split *items* into consecutive chunks of at most *size*.
 

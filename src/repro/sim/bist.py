@@ -36,7 +36,6 @@ argument that these three checks pin the whole program semantics.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -306,10 +305,6 @@ class BistVerification:
         """Trace equivalence: no mismatch and identical report bytes."""
         return (not self.mismatches
                 and self.direct_report == self.interpreted_report)
-
-    @property
-    def report_sha256(self) -> str:
-        return hashlib.sha256(self.direct_report).hexdigest()
 
     def summary(self) -> str:
         verdict = "equivalent" if self.equivalent else "NOT equivalent"

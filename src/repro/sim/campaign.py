@@ -54,7 +54,7 @@ from repro.sim.coverage import (
     report_from_outcomes,
 )
 from repro.sim.chaos import ChaosSpec, parse_chaos
-from repro.sim.placements import DEFAULT_MEMORY_SIZE, LF3_LAYOUTS
+from repro.sim.placements import DEFAULT_MEMORY_SIZE, check_lf3_layout
 from repro.sim.backends import check_backend
 from repro.sim.supervisor import (
     FailureReport,
@@ -274,6 +274,57 @@ class CampaignResult:
         return text
 
 
+def check_geometry(
+    fault_lists: Mapping[str, Sequence[TargetFault]],
+    memory_sizes: Sequence[int],
+    lf3_layouts: Sequence[str],
+    width: int,
+) -> None:
+    """Reject a geometry sweep no qualification can run.
+
+    The one copy of these rules: :class:`CoverageCampaign` raises the
+    ``ValueError`` as is, :class:`repro.service.jobs.JobSpec` behind
+    its ``invalid <kind>:`` prefix.
+    """
+    for layout in lf3_layouts:
+        check_lf3_layout(layout)
+    if not lf3_layouts:
+        raise ValueError("at least one LF3 layout is required")
+    if not memory_sizes:
+        raise ValueError("at least one memory size is required")
+    widest = {
+        label: max(fault.cells for fault in faults)
+        for label, faults in fault_lists.items()}
+    for size in memory_sizes:
+        if not isinstance(size, int) or isinstance(size, bool) \
+                or size < 1:
+            raise ValueError(f"memory size {size} must be positive")
+        for label, cells in widest.items():
+            # Word mode can host a fault intra-word even when the
+            # word count cannot spread its roles across words.
+            if size < cells and width < cells:
+                raise ValueError(
+                    f"memory size {size} cannot host the "
+                    f"{cells}-cell faults of list {label!r}")
+
+
+def check_shard(shard) -> Optional[Tuple[int, int]]:
+    """*shard* as an ``(index, count)`` pair, or ``None``; raises the
+    one-line ``ValueError`` of a malformed or out-of-range shard."""
+    if shard is None:
+        return None
+    try:
+        index, count = shard
+    except (TypeError, ValueError):
+        raise ValueError("shard must be an (index, count) pair") from None
+    if not isinstance(index, int) or not isinstance(count, int) \
+            or count < 1 or not 1 <= index <= count:
+        raise ValueError(
+            f"shard index must satisfy 1 <= index <= count, "
+            f"got {index}/{count}")
+    return index, count
+
+
 class CoverageCampaign:
     """Qualify many march tests over many fault lists, in parallel.
 
@@ -380,30 +431,10 @@ class CoverageCampaign:
         self.width, self.backgrounds = normalize_word_mode(
             width, backgrounds)
         self.memory_sizes = tuple(memory_sizes)
-        if not self.memory_sizes:
-            raise ValueError("a campaign needs at least one memory size")
-        widest_per_list = {
-            label: max(fault.cells for fault in faults)
-            for label, faults in self.fault_lists.items()
-        }
-        for size in self.memory_sizes:
-            if size < 1:
-                raise ValueError(f"memory size {size} must be positive")
-            for label, widest in widest_per_list.items():
-                # Word mode can host a fault intra-word even when the
-                # word count cannot spread its roles across words.
-                if size < widest and self.width < widest:
-                    raise ValueError(
-                        f"memory size {size} cannot host the "
-                        f"{widest}-cell faults of list {label!r}")
-        for layout in lf3_layouts:
-            if layout not in LF3_LAYOUTS:
-                raise ValueError(
-                    f"unknown LF3 layout {layout!r}; "
-                    f"choose from {LF3_LAYOUTS}")
         self.lf3_layouts = tuple(lf3_layouts)
-        if not self.lf3_layouts:
-            raise ValueError("a campaign needs at least one LF3 layout")
+        check_geometry(
+            self.fault_lists, self.memory_sizes, self.lf3_layouts,
+            self.width)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
@@ -413,18 +444,7 @@ class CoverageCampaign:
         self.chunk_size = chunk_size
         self.backend = check_backend(backend)
         self.store = open_store(store)
-        if shard is not None:
-            try:
-                index, count = shard
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "shard must be an (index, count) pair") from None
-            if count < 1 or not 1 <= index <= count:
-                raise ValueError(
-                    f"shard index must satisfy 1 <= index <= count, "
-                    f"got {index}/{count}")
-            shard = (int(index), int(count))
-        self.shard = shard
+        self.shard = check_shard(shard)
         if policy is None:
             policy = SupervisorPolicy(timeout=timeout)
         elif timeout is not None:

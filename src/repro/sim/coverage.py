@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.faults.backgrounds import (
-    WORD_CACHES as _PLACEMENT_WORD_CACHES,
     Background,
     BackgroundsSpec,
     background_str,
@@ -31,28 +30,12 @@ from repro.march.element import AddressOrder, MarchElement
 from repro.march.test import MarchTest
 from repro.memory.injection import FaultInstance
 from repro.memory.sram import FaultyMemory
-from repro.memory.word import WORD_CACHES as _ENGINE_WORD_CACHES
 from repro.sim.backends import make_memory, resolve_backend
-from repro.sim.batch import grid_instances, register_cache
+from repro.sim.batch import grid_instances
 from repro.sim.engine import run_element
 from repro.sim.engine import signature_runs  # noqa: F401 -- re-export
 from repro.sim.placements import DEFAULT_MEMORY_SIZE
 from repro.sim.sparse import blank_snapshot
-from repro.store import (
-    QualificationStore,
-    decode_outcomes,
-    encode_outcomes,
-    fault_list_id,
-    open_store,
-    qualification_key,
-)
-
-# The word-mode modules live below the simulation layer and cannot
-# import :mod:`repro.sim.batch` at module level (see their import
-# notes); their memoized helpers are registered with the shared
-# cache-clearing hook here, by the module that makes them hot.
-for _cache in _PLACEMENT_WORD_CACHES + _ENGINE_WORD_CACHES:
-    register_cache(_cache)
 
 #: A coverage target: either a linked fault or a simple fault primitive.
 TargetFault = Union[LinkedFault, FaultPrimitive]
@@ -238,11 +221,9 @@ class CoverageOracle:
         backgrounds: background set for word mode (named set or
             explicit patterns; default: the standard
             ``ceil(log2 W) + 1`` set).
-        store: opt-in qualification store (a
-            :class:`repro.store.QualificationStore` or a database
-            path): :meth:`evaluate` serves content-addressed cache
-            hits without simulating and records misses for the next
-            run.  Reports are byte-identical either way.
+
+    The oracle never touches a qualification store: store-backed
+    qualification is :class:`repro.sim.campaign.CoverageCampaign`'s.
     """
 
     def __init__(
@@ -254,7 +235,6 @@ class CoverageOracle:
         backend: str = "auto",
         width: int = 1,
         backgrounds: Optional[BackgroundsSpec] = None,
-        store: Union[QualificationStore, str, None] = None,
     ):
         self.faults = list(faults)
         self.memory_size = memory_size
@@ -262,13 +242,6 @@ class CoverageOracle:
         self.lf3_layout = lf3_layout
         self.width, self.backgrounds = normalize_word_mode(
             width, backgrounds)
-        self.store = open_store(store)
-        #: Content id of the fault list, hashed once per oracle so
-        #: repeated :meth:`evaluate` calls only hash the candidate
-        #: notation.
-        self._fault_list_key = (
-            fault_list_id(self.faults) if self.store is not None
-            else None)
         self._instances: Dict[str, List[FaultInstance]] = {
             fault_name(f): list(grid_instances(
                 f, memory_size, lf3_layout, self.width,
@@ -307,8 +280,7 @@ class CoverageOracle:
         """
         return qualify_test(
             test, self.faults, self.memory_size, self.exhaustive_limit,
-            self.lf3_layout, self.backend, self.width, self.backgrounds,
-            store=self.store, fault_list_key=self._fault_list_key)
+            self.lf3_layout, self.backend, self.width, self.backgrounds)
 
 
 #: Per-fault qualification outcome: ``(detected, witness_instance,
@@ -416,8 +388,6 @@ def qualify_test(
     backend: str = "auto",
     width: int = 1,
     backgrounds: Optional[BackgroundsSpec] = None,
-    store: Union[QualificationStore, str, None] = None,
-    fault_list_key: Optional[str] = None,
 ) -> CoverageReport:
     """Qualify one march test against one fault list, serially.
 
@@ -426,39 +396,10 @@ def qualify_test(
     bits, one pass per background, coverage aggregated across
     backgrounds (a placement is caught when some background detects it
     under every ``⇕`` resolution of its pass).
-
-    With *store* (a :class:`repro.store.QualificationStore` or a
-    database path), the qualification is content-addressed: a hit
-    skips simulation entirely and reconstructs the exact report a live
-    run would produce (witnesses re-bound from the canonical placement
-    enumeration); a miss simulates and records the outcome for future
-    runs.  The key covers notation, fault-list content, geometry and
-    semantics version -- never the backend, test name or fault-list
-    label (see :mod:`repro.store.keys`).  *fault_list_key* lets batch
-    callers pass a precomputed :func:`repro.store.fault_list_id`.
     """
-    store = open_store(store)
-    norm_width, norm_backgrounds = normalize_word_mode(
-        width, backgrounds)
-    key = None
-    if store is not None:
-        key = qualification_key(
-            test, faults, memory_size, exhaustive_limit, lf3_layout,
-            norm_width, norm_backgrounds, fault_list_key=fault_list_key)
-        payload = store.get(key)
-        if payload is not None:
-            outcomes, contexts = decode_outcomes(
-                payload, faults, memory_size, norm_width,
-                norm_backgrounds, lf3_layout)
-            return report_from_outcomes(
-                test.name, faults, outcomes, contexts)
     outcomes, contexts = qualify_outcomes(
         test, faults, memory_size, exhaustive_limit, lf3_layout, backend,
         width, backgrounds)
-    if store is not None:
-        store.put(key, encode_outcomes(
-            outcomes, contexts, faults, memory_size, norm_width,
-            norm_backgrounds, lf3_layout))
     return report_from_outcomes(test.name, faults, outcomes, contexts)
 
 
@@ -616,10 +557,6 @@ class IncrementalCoverage:
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def covered_count(self) -> int:
-        return len(self._covered)
-
     @property
     def uncovered_count(self) -> int:
         return len(self.faults) - len(self._covered)

@@ -37,6 +37,14 @@ DEFAULT_MEMORY_SIZE = 3
 LF3_LAYOUTS = ("straddle", "all")
 
 
+def check_lf3_layout(layout: str) -> None:
+    """Raise a one-line ``ValueError`` naming the choices unless
+    *layout* is one of :data:`LF3_LAYOUTS`."""
+    if layout not in LF3_LAYOUTS:
+        raise ValueError(
+            f"unknown LF3 layout {layout!r}; choose from {LF3_LAYOUTS}")
+
+
 def role_placements(
     roles: int, memory_size: int, lf3_layout: str = "straddle"
 ) -> List[Tuple[int, ...]]:
@@ -54,9 +62,7 @@ def role_placements(
     Raises:
         ValueError: when the memory is too small for the role count.
     """
-    if lf3_layout not in LF3_LAYOUTS:
-        raise ValueError(
-            f"unknown LF3 layout {lf3_layout!r}; choose from {LF3_LAYOUTS}")
+    check_lf3_layout(lf3_layout)
     if roles < 1:
         raise ValueError("faults involve at least one cell")
     if memory_size < roles:

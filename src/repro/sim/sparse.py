@@ -68,7 +68,7 @@ from repro.memory.word import (
     step_plan,
     visit_units,
 )
-from repro.sim.batch import cached_segment_walks, register_cache
+from repro.sim.batch import cached_segment_walks
 
 # Kernel selection lives in :mod:`repro.sim.backends`; this module
 # keeps no dispatch names of its own
@@ -140,9 +140,6 @@ def _rep_trajectory(
         else:
             last_record = None
     return _RepTrajectory(detect, state, last_record)
-
-
-register_cache(_rep_trajectory)
 
 
 def lane_trajectories(

@@ -11,10 +11,11 @@
   semantics from ever serving hits.
 
 The store is the opt-in ``store=`` seam of
-:func:`repro.sim.coverage.qualify_test`,
-:class:`repro.sim.coverage.CoverageOracle`,
-:class:`repro.sim.campaign.CoverageCampaign` and
-:class:`repro.core.generator.MarchGenerator`: cache hits skip
+:class:`repro.sim.campaign.CoverageCampaign` (the one store-backed
+qualification),
+:class:`repro.core.generator.MarchGenerator`, fault dictionaries
+(:func:`repro.diagnosis.dictionary.build_dictionary`) and fleets
+(:func:`repro.diagnosis.fleet.diagnose_fleet`): cache hits skip
 simulation entirely while producing byte-identical reports.
 """
 

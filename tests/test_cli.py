@@ -1,8 +1,16 @@
 """Unit tests for the ``repro-march`` command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.jobs import JobRunner
+from repro.store import QualificationStore
+
+FLEET_DEMO = Path(__file__).resolve().parent.parent / "examples" \
+    / "fleet_demo.json"
 
 
 class TestParser:
@@ -354,6 +362,40 @@ class TestResilienceCli:
         store = QualificationStore(store_path)
         assert len(store) > 0
         store.close()
+
+
+class TestInterruptPath:
+    """Ctrl-C in any job subcommand takes the one interrupt path."""
+
+    @pytest.mark.parametrize("argv,store,resume", [
+        (["dictionary", "March C-", "--fault-list", "2"], True, False),
+        (["diagnose", "March C-", "--fault-list", "2",
+          "--inject", "LF1:TFU->SF0"], True, False),
+        (["fleet", str(FLEET_DEMO)], True, True),
+        (["bist", "March C-"], False, False),
+    ], ids=["dictionary", "diagnose", "fleet", "bist"])
+    def test_interrupt_exits_130_with_the_resume_command(
+            self, argv, store, resume, tmp_path, monkeypatch, capsys):
+        def interrupted(runner, spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(JobRunner, "run", interrupted)
+        path = tmp_path / "q.sqlite"
+        if store:
+            argv = argv + ["--store", str(path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 130
+        out = capsys.readouterr().out
+        if not store:
+            assert "no --store attached" in out
+            return
+        assert f"checkpointed in {str(path)!r}" in out
+        commands = [line.split(": ", 1)[1] for line in out.splitlines()
+                    if line.startswith("resume with: ")]
+        assert [shlex.split(command) for command in commands] == [
+            ["repro-march"] + argv + (["--resume"] if resume else [])]
+        QualificationStore(path).close()  # closed, and reopens
 
 
 class TestSharedFlagParity:

@@ -6,16 +6,15 @@ from repro.analysis.report import (
     _md_table,
     anchor_section,
     build_report,
+    known_reports,
     matrix_section,
 )
 from repro.faults.lists import fault_list_1, fault_list_2
-from repro.sim.coverage import CoverageOracle
 
 
 @pytest.fixture(scope="module")
-def oracles():
-    return (CoverageOracle(fault_list_1()),
-            CoverageOracle(fault_list_2()))
+def reports():
+    return known_reports(fault_list_1(), fault_list_2())
 
 
 class TestMarkdownTable:
@@ -28,13 +27,13 @@ class TestMarkdownTable:
 
 
 class TestSections:
-    def test_anchor_section_all_ok(self, oracles):
-        text = anchor_section(*oracles)
+    def test_anchor_section_all_ok(self, reports):
+        text = anchor_section(reports)
         assert "FAILED" not in text
         assert text.count("| ok |") == 5
 
-    def test_matrix_section_lists_every_known_test(self, oracles):
-        text = matrix_section(*oracles)
+    def test_matrix_section_lists_every_known_test(self, reports):
+        text = matrix_section(reports)
         for name in ("March ABL", "March SL", "MATS+", "March LF1"):
             assert name in text
 

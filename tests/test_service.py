@@ -58,6 +58,11 @@ SMALL_JOB = {"kind": "campaign", "tests": ["March SL"],
              "fault_lists": ["lf1"]}
 
 
+#: A campaign with no LF3 layout to qualify under.
+EMPTY_LAYOUTS_JOB = {"kind": "campaign", "tests": ["March C-"],
+                     "fault_lists": ["2"], "lf3_layouts": []}
+
+
 def small_spec(**overrides) -> JobSpec:
     return JobSpec.from_dict({**SMALL_JOB, **overrides})
 
@@ -149,6 +154,14 @@ class TestJobSpec:
             [sys.executable, "-c", script, str(REPO_ROOT / "src")],
             check=True, capture_output=True, text=True)
         assert out.stdout.strip() == small_spec().job_id
+
+    def test_empty_lf3_layouts_is_rejected_up_front(self):
+        # Accepted here once, the job then failed at run time and its
+        # result answered 500.
+        with pytest.raises(ValueError) as error:
+            JobSpec.from_dict(EMPTY_LAYOUTS_JOB)
+        assert str(error.value) == (
+            "invalid campaign: at least one LF3 layout is required")
 
     def test_fleet_rejects_job_level_geometry(self):
         document = json.loads(FLEET_DEMO.read_text())
@@ -539,6 +552,13 @@ class TestHTTP:
         assert http_error.value.status == 400
         assert http_error.value.message == str(cli_error.value)
 
+    def test_empty_lf3_layouts_is_a_400(self):
+        with pytest.raises(ServiceError) as http_error:
+            self.client.submit(dict(EMPTY_LAYOUTS_JOB))
+        assert http_error.value.status == 400
+        assert http_error.value.message == (
+            "invalid campaign: at least one LF3 layout is required")
+
     def test_huge_invalid_notation_is_a_short_400(self):
         # The error quotes a bounded excerpt of the input, not all of
         # it: the same text on the CLI and as the 400 body.
@@ -659,23 +679,31 @@ class TestHTTPRateLimit:
 # The serve subcommand, end to end
 # ----------------------------------------------------------------------
 
+def _serve(info_path, *args, **popen):
+    """``repro-march serve`` in a subprocess, once it has written
+    *info_path* (its ``--json`` endpoint info)."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--port", "0", "--json", str(info_path), *args],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+    deadline = time.monotonic() + 30
+    while not info_path.exists() and time.monotonic() < deadline:
+        assert process.poll() is None, process.stderr.read().decode()
+        time.sleep(0.05)
+    return process
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 class TestServeSubcommand:
     def test_serve_round_trip(self, tmp_path):
         info_path = tmp_path / "info.json"
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--port", "0", "--json", str(info_path),
-             "--store", str(tmp_path / "q.sqlite")],
-            env={**os.environ,
-                 "PYTHONPATH": str(REPO_ROOT / "src")},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        process = _serve(
+            info_path, "--store", str(tmp_path / "q.sqlite"))
         try:
-            deadline = time.monotonic() + 30
-            while not info_path.exists() \
-                    and time.monotonic() < deadline:
-                assert process.poll() is None, \
-                    process.stderr.read().decode()
-                time.sleep(0.05)
             info = json.loads(info_path.read_text())
             assert info["pid"] == process.pid
             client = ServiceClient(info["url"], client_id="smoke")
@@ -691,3 +719,20 @@ class TestServeSubcommand:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+
+    @pytest.mark.parametrize("signum,preexec", [
+        # What `serve ... &` in a non-interactive shell does: the
+        # server inherits SIGINT ignored.
+        (signal.SIGINT, _ignore_sigint),
+        (signal.SIGTERM, None),
+    ], ids=["sigint-inherited-ignored", "sigterm"])
+    def test_signal_drains_and_exits_0(self, tmp_path, signum, preexec):
+        process = _serve(tmp_path / "info.json", preexec_fn=preexec)
+        process.send_signal(signum)
+        try:
+            out, err = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            out, err = process.communicate()
+        assert process.returncode == 0, err.decode()
+        assert b"shutting down (draining running jobs)" in out

@@ -30,7 +30,7 @@ from repro.faults.lists import fault_list_1, fault_list_2, lf1_faults
 from repro.march.known import ALL_KNOWN, known_march
 from repro.march.test import MarchTest, parse_march
 from repro.sim.campaign import CoverageCampaign
-from repro.sim.coverage import CoverageOracle, qualify_test
+from repro.sim.coverage import qualify_test
 from repro.store import (
     SCHEMA_VERSION,
     QualificationStore,
@@ -118,23 +118,36 @@ class TestCanonicalKeys:
 # ----------------------------------------------------------------------
 # Store round trips
 # ----------------------------------------------------------------------
+def qualify(test, faults, size=3, store=None, **options):
+    """One campaign cell's report: the store-backed qualification."""
+    return CoverageCampaign(
+        test, faults, memory_sizes=(size,), store=store,
+        **options).run().entries[0].report
+
+
+#: Rows one cold FL#2 cell writes: its job row plus one per fault.
+FL2_ROWS = 1 + len(FL2)
+
+
 class TestStoreRoundTrips:
     def test_miss_then_hit(self):
         store = QualificationStore()
         test = known_march("March C-").test
-        fresh = qualify_test(test, FL2, store=store)
-        served = qualify_test(test, FL2, store=store)
-        assert store.session_misses == 1
+        fresh = qualify(test, FL2, store=store)
+        served = qualify(test, FL2, store=store)
+        # The cold run misses the job row and every fault row; the
+        # warm run is one job-row hit.
+        assert store.session_misses == FL2_ROWS
         assert store.session_hits == 1
-        assert len(store) == 1
+        assert len(store) == FL2_ROWS
         assert report_key(fresh) == report_key(served)
         assert report_key(served) == report_key(qualify_test(test, FL2))
 
     def test_hit_preserves_escape_witness_identity(self):
         store = QualificationStore()
         test = known_march("March C-").test  # 75 % on FL#2
-        fresh = qualify_test(test, FL2, store=store)
-        served = qualify_test(test, FL2, store=store)
+        fresh = qualify(test, FL2, store=store)
+        served = qualify(test, FL2, store=store)
         assert fresh.escapes
         for live, cached in zip(fresh.escapes, served.escapes):
             assert cached.instance is live.instance
@@ -143,9 +156,9 @@ class TestStoreRoundTrips:
     def test_word_mode_round_trip(self):
         store = QualificationStore()
         test = known_march("March C-").test
-        fresh = qualify_test(
+        fresh = qualify(
             test, FL2, 4, width=4, backgrounds="standard", store=store)
-        served = qualify_test(
+        served = qualify(
             test, FL2, 4, width=4, backgrounds="standard", store=store)
         assert store.session_hits == 1
         assert fresh.escapes and report_key(fresh) == report_key(served)
@@ -154,10 +167,10 @@ class TestStoreRoundTrips:
         store = QualificationStore()
         test = known_march("March SL").test
         sample = FL1[:60]
-        fresh = qualify_test(
-            test, sample, lf3_layout="all", store=store)
-        served = qualify_test(
-            test, sample, lf3_layout="all", store=store)
+        fresh = qualify(
+            test, sample, lf3_layouts=("all",), store=store)
+        served = qualify(
+            test, sample, lf3_layouts=("all",), store=store)
         assert report_key(fresh) == report_key(served)
 
     @settings(max_examples=15, deadline=None)
@@ -165,18 +178,17 @@ class TestStoreRoundTrips:
     def test_random_march_round_trip(self, test):
         store = QualificationStore()
         sample = FL2[::3]
-        fresh = qualify_test(test, sample, store=store)
-        served = qualify_test(test, sample, store=store)
+        fresh = qualify(test, sample, store=store)
+        served = qualify(test, sample, store=store)
         assert store.session_hits == 1
         assert report_key(fresh) == report_key(served)
 
     def test_backends_share_entries(self):
         store = QualificationStore()
         test = known_march("March SL").test
-        qualify_test(test, FL2, 8, backend="dense", store=store)
-        served = qualify_test(
-            test, FL2, 8, backend="sparse", store=store)
-        assert store.session_hits == 1 and len(store) == 1
+        qualify(test, FL2, 8, backend="dense", store=store)
+        served = qualify(test, FL2, 8, backend="sparse", store=store)
+        assert store.session_hits == 1 and len(store) == FL2_ROWS
         assert report_key(served) == report_key(
             qualify_test(test, FL2, 8, backend="sparse"))
 
@@ -184,57 +196,58 @@ class TestStoreRoundTrips:
         path = tmp_path / "q.sqlite"
         test = known_march("March C-").test
         with QualificationStore(path) as store:
-            qualify_test(test, FL2, store=store)
+            qualify(test, FL2, store=store)
         with QualificationStore(path) as store:
-            served = qualify_test(test, FL2, store=store)
+            served = qualify(test, FL2, store=store)
             assert store.session_hits == 1
         assert report_key(served) == report_key(qualify_test(test, FL2))
 
     def test_stale_schema_rows_never_serve(self):
         store = QualificationStore()
         test = known_march("March C-").test
-        qualify_test(test, FL2, store=store)
+        qualify(test, FL2, store=store)
         store._conn.execute(
             "UPDATE qualifications SET schema_version = ?",
             (SCHEMA_VERSION + 1,))
         store._conn.commit()
-        qualify_test(test, FL2, store=store)
+        qualify(test, FL2, store=store)
         assert store.session_hits == 0
-        assert store.session_misses == 2
+        assert store.session_misses == 2 * FL2_ROWS
 
     def test_gc_reclaims_stale_rows_only(self):
         store = QualificationStore()
-        qualify_test(known_march("March C-").test, FL2, store=store)
-        qualify_test(known_march("March SL").test, FL2, store=store)
+        qualify(known_march("March C-").test, FL2, store=store)
+        qualify(known_march("March SL").test, FL2, store=store)
         store._conn.execute(
             "UPDATE qualifications SET semantics_version = 'old' "
             "WHERE rowid = 1")
         store._conn.commit()
         assert store.gc() == 1
-        assert len(store) == 1
+        assert len(store) == 2 * FL2_ROWS - 1
         assert store.gc() == 0
 
     def test_merge_is_a_set_union(self, tmp_path):
         a = QualificationStore(tmp_path / "a.sqlite")
         b = QualificationStore(tmp_path / "b.sqlite")
         shared = known_march("March C-").test
-        qualify_test(shared, FL2, store=a)
-        qualify_test(shared, FL2, store=b)
-        qualify_test(known_march("March SL").test, FL2, store=b)
-        assert a.merge(b) == 1  # the shared row is skipped
-        assert len(a) == 2
+        qualify(shared, FL2, store=a)
+        qualify(shared, FL2, store=b)
+        qualify(known_march("March SL").test, FL2, store=b)
+        # The shared rows are skipped.
+        assert a.merge(b) == FL2_ROWS
+        assert len(a) == 2 * FL2_ROWS
         assert a.merge(str(tmp_path / "b.sqlite")) == 0  # idempotent
 
     def test_stats_and_export_shapes(self):
         store = QualificationStore()
-        qualify_test(known_march("March C-").test, FL2, store=store)
+        qualify(known_march("March C-").test, FL2, store=store)
         stats = store.stats()
-        assert stats["rows"] == stats["current_rows"] == 1
-        assert stats["session_misses"] == 1
+        assert stats["rows"] == stats["current_rows"] == FL2_ROWS
+        assert stats["session_misses"] == FL2_ROWS
         assert stats["payload_bytes"] > 0
         dump = store.export()
         assert dump["schema_version"] == SCHEMA_VERSION
-        assert len(dump["rows"]) == 1
+        assert len(dump["rows"]) == FL2_ROWS
         json.dumps(dump)  # JSON-ready end to end
 
     def test_open_store_seam(self, tmp_path):
@@ -244,15 +257,6 @@ class TestStoreRoundTrips:
         opened = open_store(tmp_path / "new.sqlite")
         assert isinstance(opened, QualificationStore)
         assert (tmp_path / "new.sqlite").exists()
-
-    def test_oracle_evaluate_uses_the_store(self):
-        store = QualificationStore()
-        oracle = CoverageOracle(FL2, store=store)
-        test = known_march("March C-").test
-        first = oracle.evaluate(test)
-        second = oracle.evaluate(test)
-        assert store.session_hits == 1
-        assert report_key(first) == report_key(second)
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +389,7 @@ class TestGeneratorStore:
         assert first.test.notation() == plain.test.notation()
         assert report_key(second.report) == report_key(plain.report)
 
-    def test_committed_prefixes_are_served_to_qualify_test(self):
+    def test_committed_prefixes_are_served_to_a_campaign(self):
         store = QualificationStore()
         result = MarchGenerator(
             lf1_faults(), name="gen", store=store).generate()
@@ -393,7 +397,7 @@ class TestGeneratorStore:
             prefix = MarchTest(
                 "any name", result.unpruned.elements[:cut])
             misses = store.session_misses
-            served = qualify_test(prefix, lf1_faults(), store=store)
+            served = qualify(prefix, lf1_faults(), store=store)
             assert store.session_misses == misses, (
                 f"prefix of {cut} element(s) was not memoized")
             assert report_key(served) == report_key(
